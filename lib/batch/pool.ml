@@ -15,7 +15,6 @@ let oom_exit_code = 9
 let stop_requested = ref false
 let request_stop () = stop_requested := true
 let stop_pending () = !stop_requested
-let clear_stop () = stop_requested := false
 
 let install_signal_handlers () =
   let handle = Sys.Signal_handle (fun _ -> request_stop ()) in
@@ -43,36 +42,40 @@ let write_all fd s =
 (* The worker: run the attempt's closure, serialize the result onto the
    pipe, _exit without flushing the parent's buffered channels. Crashes,
    hangs and heap blowups simply happen — classification is the parent's
-   job. *)
+   job. It leaves only through _exit: a failed write (EPIPE once the
+   supervisor is gone and SIGPIPE is ignored) must not unwind into this
+   forked copy of the supervisor and run on as one. *)
 let exec_child ~heap_words ~attempt job wfd =
-  Sys.set_signal Sys.sigint Sys.Signal_default;
-  Sys.set_signal Sys.sigterm Sys.Signal_default;
-  (match heap_words with
-  | None -> ()
-  | Some ceiling ->
-      ignore
-        (Gc.create_alarm (fun () ->
-             if (Gc.quick_stat ()).Gc.heap_words > ceiling then
-               Unix._exit oom_exit_code)));
-  let work =
-    if attempt > 1 then Option.value job.degraded ~default:job.work
-    else job.work
+  let deliver () =
+    Sys.set_signal Sys.sigint Sys.Signal_default;
+    Sys.set_signal Sys.sigterm Sys.Signal_default;
+    (match heap_words with
+    | None -> ()
+    | Some ceiling ->
+        ignore
+          (Gc.create_alarm (fun () ->
+               if (Gc.quick_stat ()).Gc.heap_words > ceiling then
+                 Unix._exit oom_exit_code)));
+    let work =
+      if attempt > 1 then Option.value job.degraded ~default:job.work
+      else job.work
+    in
+    let result =
+      try work ()
+      with e ->
+        Error
+          (Diag.internal ~code:"batch.worker-exn"
+             ("worker raised: " ^ Printexc.to_string e))
+    in
+    let doc =
+      match result with
+      | Ok payload -> Jsonl.Obj [ ("ok", Jsonl.String payload) ]
+      | Error d -> Jsonl.Obj [ ("rejected", Verdict.diag_to_json d) ]
+    in
+    write_all wfd (Jsonl.to_string doc);
+    try Unix.close wfd with Unix.Unix_error _ -> ()
   in
-  let result =
-    try work ()
-    with e ->
-      Error
-        (Diag.internal ~code:"batch.worker-exn"
-           ("worker raised: " ^ Printexc.to_string e))
-  in
-  let doc =
-    match result with
-    | Ok payload -> Jsonl.Obj [ ("ok", Jsonl.String payload) ]
-    | Error d -> Jsonl.Obj [ ("rejected", Verdict.diag_to_json d) ]
-  in
-  write_all wfd (Jsonl.to_string doc);
-  (try Unix.close wfd with Unix.Unix_error _ -> ());
-  Unix._exit 0
+  Unix._exit (match deliver () with () -> 0 | exception _ -> 1)
 
 (* --- Supervisor -------------------------------------------------------- *)
 
@@ -294,9 +297,16 @@ let kill_all t =
 
 (* --- Batch driver ------------------------------------------------------- *)
 
-let run ?(workers = 1) ?(retry = Retry.default) ?journal ?(resume = false)
-    ?heap_words ?(log = fun (_ : string) -> ()) ~deadline jobs =
-  let workers = max 1 workers in
+type executor = {
+  submit : attempt:int -> deadline:float -> job -> unit;
+  step : unit -> completion list;
+  fds : unit -> Unix.file_descr list;
+  pending : unit -> int;
+  stop : unit -> unit;
+}
+
+let drive ?(retry = Retry.default) ?journal ?(resume = false)
+    ?(log = fun (_ : string) -> ()) ~deadline exec jobs =
   stop_requested := false;
   let previous =
     if resume then
@@ -315,7 +325,10 @@ let run ?(workers = 1) ?(retry = Retry.default) ?journal ?(resume = false)
         Hashtbl.create (List.length jobs)
       in
       let resumed = ref 0 in
-      let pool = create ~workers ?heap_words () in
+      let submit ~attempt j =
+        exec.submit ~attempt ~deadline:(Retry.deadline retry ~attempt deadline)
+          j
+      in
       (* Submission order; resume decides the first attempt. *)
       List.iter
         (fun j ->
@@ -331,8 +344,7 @@ let run ?(workers = 1) ?(retry = Retry.default) ?journal ?(resume = false)
                 | Some r -> r.Journal.attempt + 1
                 | None -> 1
               in
-              submit pool ~attempt
-                ~deadline:(Retry.deadline retry ~attempt deadline) j)
+              submit ~attempt j)
         jobs;
       let journal_record r =
         (* A dead journal sink must not abort the batch: the only cost of
@@ -371,33 +383,45 @@ let run ?(workers = 1) ?(retry = Retry.default) ?journal ?(resume = false)
           log
             (Printf.sprintf "%s: %s (%.1fs) — retrying degraded"
                c.c_job.descr (Verdict.describe c.c_verdict) c.c_seconds);
-          let attempt = c.c_attempt + 1 in
-          submit pool ~attempt
-            ~deadline:(Retry.deadline retry ~attempt deadline) c.c_job
+          submit ~attempt:(c.c_attempt + 1) c.c_job
         end
       in
-      let interrupted = ref false in
+      (* Returns whether a stop cut the batch short. An interrupt discards
+         in-flight attempts unrecorded, so a resume re-runs them from
+         their last journalled attempt. *)
       let rec supervise () =
-        if !stop_requested && not !interrupted then begin
-          interrupted := true;
-          (* Interrupt discards in-flight attempts unrecorded, so a resume
-             re-runs them from their last journalled attempt. *)
-          ignore (kill_all pool)
-        end;
-        if load pool = 0 then ()
+        if !stop_requested then begin
+          exec.stop ();
+          true
+        end
+        else if exec.pending () = 0 then false
         else begin
-          let completions = step pool in
+          let completions = exec.step () in
           List.iter finish completions;
           (if completions = [] then
-             match Unix.select (worker_fds pool) [] [] 0.05 with
+             match Unix.select (exec.fds ()) [] [] 0.05 with
              | _ -> ()
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+             | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) ->
+                 ());
           supervise ()
         end
       in
-      supervise ();
+      let interrupted = supervise () in
       Option.iter Journal.close writer;
       let records =
         List.filter_map (fun j -> Hashtbl.find_opt results j.id) jobs
       in
-      Ok { records; resumed = !resumed; interrupted = !interrupted }
+      Ok { records; resumed = !resumed; interrupted }
+
+let run ?(workers = 1) ?retry ?journal ?resume ?heap_words ?log ~deadline
+    jobs =
+  let pool = create ~workers ?heap_words () in
+  drive ?retry ?journal ?resume ?log ~deadline
+    {
+      submit = (fun ~attempt ~deadline j -> submit pool ~attempt ~deadline j);
+      step = (fun () -> step pool);
+      fds = (fun () -> worker_fds pool);
+      pending = (fun () -> load pool);
+      stop = (fun () -> ignore (kill_all pool));
+    }
+    jobs

@@ -13,11 +13,17 @@
       job as soon as the OCaml major heap crosses [heap_words].
 
     Workers stream their result back over a pipe as a typed
-    {!Verdict.t}; every attempt is appended to the {!Journal} (when one
-    is given) before the pool moves on, so [~resume:true] after a crash
-    or SIGKILL skips already-completed jobs deterministically.
-    [Timeout]/[Oom] verdicts go through the {!Retry} policy — one
-    re-run with the job's [degraded] closure — before becoming final. *)
+    {!Verdict.t}, and leave only through [_exit] — never by unwinding
+    into the forked copy of their supervisor.
+
+    {!drive} is the one batch driver: every attempt is appended to the
+    {!Journal} (when one is given) before it moves on, so [~resume:true]
+    after a crash or SIGKILL skips already-completed jobs
+    deterministically; [Timeout]/[Oom] verdicts go through the {!Retry}
+    policy — one re-run with the job's [degraded] closure — before
+    becoming final. It runs over an {!executor}: {!run} instantiates it
+    with a local pool, [Cluster.Dispatcher.run] with the lease-fenced
+    cluster. *)
 
 type job = {
   id : string;  (** Stable digest; the journal / resume key. *)
@@ -41,18 +47,14 @@ val oom_exit_code : int
     closures must not [exit] with it — or at all. *)
 
 val request_stop : unit -> unit
-(** Ask the running pool to stop: live workers are SIGKILLed, the
-    journal stays flushed (it is fsynced per record), and {!run} returns
-    with [interrupted = true]. Safe to call from a signal handler. *)
+(** Ask the running driver to stop: its executor's [stop] runs, the
+    journal stays flushed (it is fsynced per record), and {!drive}
+    returns with [interrupted = true]. Safe to call from a signal
+    handler. *)
 
 val stop_pending : unit -> bool
-(** Whether {!request_stop} has fired since the last {!run} started —
-    for external batch drivers (the cluster dispatcher) that implement
-    their own supervision loop but share the interrupt discipline. *)
-
-val clear_stop : unit -> unit
-(** Reset the stop flag before starting a supervision loop ({!run} does
-    this itself). *)
+(** Whether {!request_stop} has fired since the last {!drive} started —
+    the stop predicate of loops outside the driver ([synth worker]). *)
 
 val install_signal_handlers : unit -> unit
 (** Route SIGINT and SIGTERM to {!request_stop}. The CLI exits 130
@@ -132,6 +134,40 @@ type outcome = {
   interrupted : bool;
 }
 
+(** {2 Batch driver} *)
+
+type executor = {
+  submit : attempt:int -> deadline:float -> job -> unit;
+      (** Enqueue one attempt under its wall-clock budget. *)
+  step : unit -> completion list;  (** One non-blocking tick. *)
+  fds : unit -> Unix.file_descr list;  (** What to [select] on. *)
+  pending : unit -> int;  (** Attempts submitted but not yet completed. *)
+  stop : unit -> unit;
+      (** What an interrupt does to in-flight work: SIGKILL and reap it,
+          surfacing no completion. *)
+}
+(** Where a batch's attempts run: a local pool, or a dispatcher fanning
+    them out to remote workers. *)
+
+val drive :
+  ?retry:Retry.policy ->
+  ?journal:string ->
+  ?resume:bool ->
+  ?log:(string -> unit) ->
+  deadline:float ->
+  executor ->
+  job list ->
+  (outcome, Diag.t) result
+(** Run the batch on the executor: replay final records from the journal
+    on [resume] and submit the rest at their next attempt, journal every
+    completed attempt exactly once, resubmit [Timeout]/[Oom] verdicts
+    under [retry] (degraded), and stop on {!request_stop} — the
+    executor's [stop] runs once and the in-flight attempts stay
+    unrecorded, so a resume re-runs them. [deadline] is per-attempt
+    wall-clock seconds, scaled per attempt by {!Retry.deadline}. [Error]
+    is reserved for environment problems (unreadable or corrupt
+    journal); job failures are data — look at the records. *)
+
 val run :
   ?workers:int ->
   ?retry:Retry.policy ->
@@ -142,6 +178,4 @@ val run :
   deadline:float ->
   job list ->
   (outcome, Diag.t) result
-(** Run the batch. [deadline] is per-attempt wall-clock seconds.
-    [Error] is reserved for environment problems (unreadable or corrupt
-    journal); job failures are data — look at the records. *)
+(** {!drive} over a local pool of [workers] (default 1) processes. *)

@@ -1,10 +1,7 @@
 module P = Serve.Protocol
-module Frame = Serve.Frame
+module Conn = Serve.Conn
 module Pool = Batch.Pool
-module Journal = Batch.Journal
-module Retry = Batch.Retry
 module Jsonl = Batch.Jsonl
-module Verdict = Batch.Verdict
 
 type config = {
   endpoints : Endpoint.t list;
@@ -27,51 +24,12 @@ let default_config =
     log = (fun (_ : string) -> ());
   }
 
-(* Same crash-only connection idiom as the serve daemon: nonblocking
-   reads through a frame decoder, writes buffered and flushed
-   opportunistically, a vanished peer closes the connection. *)
 type conn = {
-  c_fd : Unix.file_descr;
-  c_dec : Frame.decoder;
-  mutable c_out : string;
+  c_conn : Conn.t;
   mutable c_name : string option;  (* set by a register frame *)
-  mutable c_alive : bool;
 }
 
-let close_conn c =
-  if c.c_alive then begin
-    c.c_alive <- false;
-    try Unix.close c.c_fd with Unix.Unix_error _ -> ()
-  end
-
-let flush_conn c =
-  if c.c_alive && c.c_out <> "" then begin
-    let b = Bytes.unsafe_of_string c.c_out in
-    let rec go off =
-      if off >= Bytes.length b then off
-      else
-        match Unix.write c.c_fd b off (Bytes.length b - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            off
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (_, _, _) ->
-            close_conn c;
-            Bytes.length b
-    in
-    let off = go 0 in
-    if c.c_alive then
-      c.c_out <-
-        (if off >= String.length c.c_out then ""
-         else String.sub c.c_out off (String.length c.c_out - off))
-  end
-
-let enqueue c payload =
-  if c.c_alive then begin
-    c.c_out <- c.c_out ^ Frame.encode payload;
-    flush_conn c
-  end
+let enqueue c payload = Conn.send c.c_conn payload
 
 type t = {
   cfg : config;
@@ -132,7 +90,9 @@ let worker_deaths t = Lease.worker_deaths t.table
 
 let fds t =
   t.listeners
-  @ List.filter_map (fun c -> if c.c_alive then Some c.c_fd else None) t.conns
+  @ List.filter_map
+      (fun c -> if Conn.alive c.c_conn then Some (Conn.fd c.c_conn) else None)
+      t.conns
   @ Pool.worker_fds t.pool
 
 let stats_json t ~now =
@@ -154,14 +114,10 @@ let accept_conns t =
       let rec loop () =
         match Unix.accept ~cloexec:true lfd with
         | fd, _ ->
-            Unix.set_nonblock fd;
             t.conns <-
               {
-                c_fd = fd;
-                c_dec = Frame.decoder ~max_frame:t.cfg.max_frame ();
-                c_out = "";
+                c_conn = Conn.create ~max_frame:t.cfg.max_frame fd;
                 c_name = None;
-                c_alive = true;
               }
               :: t.conns;
             loop ()
@@ -176,7 +132,7 @@ let accept_conns t =
 
 let find_conn t name =
   List.find_opt
-    (fun c -> c.c_alive && c.c_name = Some name)
+    (fun c -> Conn.alive c.c_conn && c.c_name = Some name)
     t.conns
 
 let handle_control t c (env : P.envelope) ~now =
@@ -206,7 +162,7 @@ let handle_payload t c payload ~now =
       (* A reconnecting worker re-registers under the same name; the
          fresh registration supersedes the dead connection's state. *)
       (match find_conn t r.P.g_worker with
-      | Some old when old != c -> close_conn old
+      | Some old when old != c -> Conn.close old.c_conn
       | _ -> ());
       c.c_name <- Some r.P.g_worker;
       Lease.register t.table ~now ~name:r.P.g_worker
@@ -245,45 +201,26 @@ let handle_payload t c payload ~now =
                u_job u_epoch worker);
           [])
 
+(* A vanished or poisoned peer: requeue its leases under the backoff
+   policy. *)
+let disconnect t c ~now =
+  Option.iter (fun name -> Lease.disconnect t.table ~now ~name) c.c_name;
+  Conn.close c.c_conn
+
 let read_conn t c ~now =
-  if not c.c_alive then []
+  if not (Conn.alive c.c_conn) then []
   else
-    let buf = Bytes.create 65536 in
-    let rec drain acc =
-      match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-      | 0 ->
-          (* Peer gone: requeue its leases under the backoff policy. *)
-          (match c.c_name with
-          | Some name -> Lease.disconnect t.table ~now ~name
-          | None -> ());
-          close_conn c;
-          acc
-      | n -> (
-          match Frame.feed c.c_dec (Bytes.sub_string buf 0 n) with
-          | Error d ->
-              t.cfg.log (Diag.to_string d);
-              (match c.c_name with
-              | Some name -> Lease.disconnect t.table ~now ~name
-              | None -> ());
-              close_conn c;
-              acc
-          | Ok payloads ->
-              drain
-                (acc
-                @ List.concat_map
-                    (fun p -> handle_payload t c p ~now)
-                    payloads))
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          acc
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain acc
-      | exception Unix.Unix_error (_, _, _) ->
-          (match c.c_name with
-          | Some name -> Lease.disconnect t.table ~now ~name
-          | None -> ());
-          close_conn c;
-          acc
+    let payloads, status = Conn.read c.c_conn in
+    let completions =
+      List.concat_map (fun p -> handle_payload t c p ~now) payloads
     in
-    drain []
+    (match status with
+    | Conn.Open -> ()
+    | Conn.Too_large d ->
+        t.cfg.log (Diag.to_string d);
+        disconnect t c ~now
+    | Conn.Eof | Conn.Failed -> disconnect t c ~now);
+    completions
 
 let apply_action t ~now = function
   | Lease.Grant { a_worker; a_job; a_epoch; a_attempt; a_deadline } -> (
@@ -311,7 +248,7 @@ let apply_action t ~now = function
       | None -> ())
   | Lease.Expire name -> (
       t.cfg.log (Printf.sprintf "cluster: worker %s missed heartbeats" name);
-      match find_conn t name with Some c -> close_conn c | None -> ())
+      match find_conn t name with Some c -> Conn.close c.c_conn | None -> ())
 
 let step t =
   let now = Unix.gettimeofday () in
@@ -322,136 +259,47 @@ let step t =
   List.iter (apply_action t ~now) (Lease.tick t.table ~now ~local_ok:(local_ok t));
   let local = Pool.step t.pool in
   List.iter (fun c -> Lease.local_done t.table ~job:c.Pool.c_job.Pool.id) local;
-  List.iter flush_conn t.conns;
-  t.conns <- List.filter (fun c -> c.c_alive) t.conns;
+  List.iter (fun c -> Conn.flush c.c_conn) t.conns;
+  t.conns <- List.filter (fun c -> Conn.alive c.c_conn) t.conns;
   let completions = remote @ local in
   t.finished <- t.finished + List.length completions;
   completions
 
 let shutdown t =
-  List.iter (fun c -> close_conn c) t.conns;
+  List.iter (fun c -> Conn.close c.c_conn) t.conns;
   t.conns <- [];
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     t.listeners;
   List.iter Endpoint.unlink t.cfg.endpoints;
   ignore (Pool.kill_all t.pool)
 
-let run ?(config = default_config) ?(retry = Retry.default) ?journal
-    ?(resume = false) ?(tick = fun (_ : t) -> ()) ~deadline jobs =
-  Pool.clear_stop ();
-  let previous =
-    if resume then
-      match journal with None -> Ok [] | Some path -> Journal.load path
-    else Ok []
-  in
-  match previous with
+let run ?(config = default_config) ?retry ?journal ?resume
+    ?(tick = fun (_ : t) -> ()) ~deadline jobs =
+  match create ~config () with
   | Error d -> Error d
-  | Ok previous -> (
-      match create ~config () with
-      | Error d -> Error d
-      | Ok t ->
-          let log = config.log in
-          let finals = Journal.finals previous in
-          let lasts = Journal.last_attempts previous in
-          let writer = Option.map Journal.open_writer journal in
-          let results : (string, Journal.record) Hashtbl.t =
-            Hashtbl.create (List.length jobs)
-          in
-          let resumed = ref 0 in
-          List.iter
-            (fun ((j : Pool.job), wire) ->
-              match Hashtbl.find_opt finals j.Pool.id with
-              | Some r ->
-                  incr resumed;
-                  Hashtbl.replace results j.Pool.id r;
-                  log
-                    (Printf.sprintf "%s: resumed (%s)" j.Pool.descr
-                       (Verdict.describe r.Journal.verdict))
-              | None ->
-                  let attempt =
-                    match Hashtbl.find_opt lasts j.Pool.id with
-                    | Some r -> r.Journal.attempt + 1
-                    | None -> 1
-                  in
-                  submit t ~attempt ?wire
-                    ~deadline:(Retry.deadline retry ~attempt deadline) j)
-            jobs;
-          let journal_record r =
-            Option.iter
-              (fun w ->
-                match Journal.append w r with
-                | Ok () -> ()
-                | Error d -> log (Diag.to_string d))
-              writer
-          in
-          let finish (c : Pool.completion) =
-            let final =
-              not (Retry.should_retry retry ~attempt:c.Pool.c_attempt
-                     c.Pool.c_verdict)
-            in
-            let record =
-              {
-                Journal.id = c.Pool.c_job.Pool.id;
-                seed = c.Pool.c_job.Pool.seed;
-                descr = c.Pool.c_job.Pool.descr;
-                attempt = c.Pool.c_attempt;
-                final;
-                verdict = c.Pool.c_verdict;
-                seconds = c.Pool.c_seconds;
-              }
-            in
-            journal_record record;
-            if final then begin
-              Hashtbl.replace results c.Pool.c_job.Pool.id record;
-              log
-                (Printf.sprintf "%s: %s (%.1fs%s)" c.Pool.c_job.Pool.descr
-                   (Verdict.describe c.Pool.c_verdict) c.Pool.c_seconds
-                   (if c.Pool.c_attempt > 1 then ", retry" else ""))
-            end
-            else begin
-              log
-                (Printf.sprintf "%s: %s (%.1fs) — retrying degraded"
-                   c.Pool.c_job.Pool.descr
-                   (Verdict.describe c.Pool.c_verdict) c.Pool.c_seconds);
-              let attempt = c.Pool.c_attempt + 1 in
-              let wire =
-                match Hashtbl.find_opt t.jobs c.Pool.c_job.Pool.id with
-                | Some (_, w) -> w
-                | None -> None
-              in
-              submit t ~attempt ?wire
-                ~deadline:(Retry.deadline retry ~attempt deadline)
-                c.Pool.c_job
-            end
-          in
-          let interrupted = ref false in
-          let rec supervise () =
-            if Pool.stop_pending () && not !interrupted then
-              (* In-flight attempts (local and leased) stay unrecorded,
-                 so a resume re-runs them from their last journalled
-                 attempt — the same discipline as Pool.run. *)
-              interrupted := true
-            else if pending t > 0 then begin
-              tick t;
-              let completions = step t in
-              List.iter finish completions;
-              (if completions = [] then
-                 match Unix.select (fds t) [] [] 0.05 with
-                 | _ -> ()
-                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                 | exception Unix.Unix_error (Unix.EBADF, _, _) -> ());
-              supervise ()
-            end
-          in
-          supervise ();
-          shutdown t;
-          Option.iter Journal.close writer;
-          let records =
-            List.filter_map
-              (fun ((j : Pool.job), _) ->
-                Hashtbl.find_opt results j.Pool.id)
-              jobs
-          in
-          Ok
-            ( { Pool.records; resumed = !resumed; interrupted = !interrupted },
-              t ))
+  | Ok t ->
+      let wires = Hashtbl.create (List.length jobs) in
+      List.iter
+        (fun ((j : Pool.job), w) -> Hashtbl.replace wires j.Pool.id w)
+        jobs;
+      let outcome =
+        Pool.drive ?retry ?journal ?resume ~log:config.log ~deadline
+          {
+            Pool.submit =
+              (fun ~attempt ~deadline j ->
+                submit t ~attempt
+                  ?wire:(Option.join (Hashtbl.find_opt wires j.Pool.id))
+                  ~deadline j);
+            step =
+              (fun () ->
+                tick t;
+                step t);
+            fds = (fun () -> fds t);
+            pending = (fun () -> pending t);
+            (* Leased attempts die with their connections in [shutdown]. *)
+            stop = (fun () -> ignore (Pool.kill_all t.pool));
+          }
+          (List.map fst jobs)
+      in
+      shutdown t;
+      Result.map (fun o -> (o, t)) outcome

@@ -1,13 +1,14 @@
 (** Lease-based multi-host job dispatcher.
 
-    The cluster face of {!Batch.Pool}: the same incremental
-    submit/step/fds interface and the same [run] driver (journal, resume,
-    verdict-level retry, SIGINT discipline), but jobs carrying a wire
+    The cluster executor of {!Batch.Pool.drive}: the same incremental
+    submit/step/fds interface as {!Batch.Pool}, but jobs carrying a wire
     form ([Cluster.Wire]) are fanned out to remote [synth worker]
-    processes as time-bounded leases. The {!Lease} table supplies the
-    fault tolerance: fencing epochs, heartbeat liveness, lease expiry,
-    decorrelated-jitter re-lease, and escalation to in-process execution
-    when every remote is down (gated by [local_fallback]).
+    processes as time-bounded leases over {!Serve.Conn} connections. The
+    {!Lease} table supplies the fault tolerance: fencing epochs,
+    heartbeat liveness, lease expiry, decorrelated-jitter re-lease, and
+    escalation to in-process execution when every remote is down (gated
+    by [local_fallback]). Journal, resume, verdict-level retry and
+    interrupt handling are the driver's, shared with {!Batch.Pool.run}.
 
     With no endpoints configured the dispatcher degenerates to a plain
     local pool run — [synth batch] without [--hosts] goes through
@@ -80,12 +81,14 @@ val run :
   deadline:float ->
   (Batch.Pool.job * Batch.Jsonl.t option) list ->
   (Batch.Pool.outcome * t, Diag.t) result
-(** Mirror of {!Batch.Pool.run} over (job, wire) pairs: journalled
-    exactly once per accepted verdict, resumable ([~resume] skips jobs
-    with final records, byte-identically replaying their outcomes),
-    interruptible via {!Batch.Pool.request_stop}. [retry] is the
-    {e verdict-level} policy (Timeout/Oom → degraded re-run); transport
-    failovers live in [config.lease.retry] and never consume verdict
-    attempts. [tick] runs once per supervision iteration — the chaos
-    harness's fault-injection hook. The returned [t] is already shut
-    down; it remains valid for the introspection counters. *)
+(** {!Batch.Pool.drive} over a fresh dispatcher and (job, wire) pairs:
+    journalled exactly once per accepted verdict, resumable ([~resume]
+    skips jobs with final records, byte-identically replaying their
+    outcomes), interruptible via {!Batch.Pool.request_stop} (local
+    attempts are SIGKILLed, leased ones die with their connections).
+    [retry] is the {e verdict-level} policy (Timeout/Oom → degraded
+    re-run); transport failovers live in [config.lease.retry] and never
+    consume verdict attempts. [tick] runs once per supervision iteration,
+    before {!step} — the chaos harness's fault-injection hook. The
+    returned [t] is already shut down; it remains valid for the
+    introspection counters. *)

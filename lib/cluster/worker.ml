@@ -1,5 +1,5 @@
 module P = Serve.Protocol
-module Frame = Serve.Frame
+module Conn = Serve.Conn
 module Pool = Batch.Pool
 module Retry = Batch.Retry
 module Jsonl = Batch.Jsonl
@@ -40,67 +40,25 @@ let default_config ~endpoint ~name =
     log = (fun (_ : string) -> ());
   }
 
-type session = {
-  s_fd : Unix.file_descr;
-  s_dec : Frame.decoder;
-  mutable s_out : string;
-  mutable s_alive : bool;
-}
-
-let close_session s =
-  if s.s_alive then begin
-    s.s_alive <- false;
-    try Unix.close s.s_fd with Unix.Unix_error _ -> ()
-  end
-
-let flush_session s =
-  if s.s_alive && s.s_out <> "" then begin
-    let b = Bytes.unsafe_of_string s.s_out in
-    let rec go off =
-      if off >= Bytes.length b then off
-      else
-        match Unix.write s.s_fd b off (Bytes.length b - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            off
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (_, _, _) ->
-            close_session s;
-            Bytes.length b
-    in
-    let off = go 0 in
-    if s.s_alive then
-      s.s_out <-
-        (if off >= String.length s.s_out then ""
-         else String.sub s.s_out off (String.length s.s_out - off))
-  end
-
-let enqueue s payload =
-  if s.s_alive then begin
-    s.s_out <- s.s_out ^ Frame.encode payload;
-    flush_session s
-  end
-
 (* One connected session: register, then execute leases until the
    dispatcher goes away or [stop] fires. Returns [`Stopped] or
    [`Disconnected]. *)
-let session cfg ~stop ~pool s =
+let session cfg ~stop ~pool conn =
   (* job id -> (fencing epoch, verdict attempt) for in-flight leases. *)
   let leases : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  enqueue s
+  Conn.send conn
     (P.register_msg ~worker:cfg.name ~capacity:cfg.capacity
        ?heap_mb:cfg.heap_mb ~libraries:cfg.libraries ());
   let send_result ~job ~epoch ~attempt ~seconds verdict =
     let payload = P.result_msg ~job ~epoch ~attempt ~seconds verdict in
-    enqueue s payload;
-    if cfg.duplicate_results then enqueue s payload
+    Conn.send conn payload;
+    if cfg.duplicate_results then Conn.send conn payload
   in
   let handle_payload payload =
     match P.parse_downstream ~max_bytes:cfg.max_frame payload with
     | Error d ->
         cfg.log (Diag.to_string d);
-        close_session s
+        Conn.close conn
     | Ok (P.Ack _) -> ()
     | Ok (P.Revoke { v_job; v_epoch }) -> (
         match Hashtbl.find_opt leases v_job with
@@ -135,33 +93,23 @@ let session cfg ~stop ~pool s =
               Pool.submit pool ~attempt:l_attempt ~deadline:l_deadline job
             end)
   in
-  let buf = Bytes.create 65536 in
   let read_socket () =
-    let rec drain () =
-      match Unix.read s.s_fd buf 0 (Bytes.length buf) with
-      | 0 -> close_session s
-      | n -> (
-          match Frame.feed s.s_dec (Bytes.sub_string buf 0 n) with
-          | Error d ->
-              cfg.log (Diag.to_string d);
-              close_session s
-          | Ok payloads ->
-              List.iter handle_payload payloads;
-              if s.s_alive then drain ())
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-      | exception Unix.Unix_error (_, _, _) -> close_session s
-    in
-    drain ()
+    let payloads, status = Conn.read conn in
+    List.iter handle_payload payloads;
+    match status with
+    | Conn.Open -> ()
+    | Conn.Too_large d ->
+        cfg.log (Diag.to_string d);
+        Conn.close conn
+    | Conn.Eof | Conn.Failed -> Conn.close conn
   in
   let last_heartbeat = ref (Unix.gettimeofday ()) in
   let rec loop () =
     if stop () then `Stopped
-    else if not s.s_alive then `Disconnected
+    else if not (Conn.alive conn) then `Disconnected
     else begin
       (match
-         Unix.select (s.s_fd :: Pool.worker_fds pool) [] [] 0.05
+         Unix.select (Conn.fd conn :: Pool.worker_fds pool) [] [] 0.05
        with
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -180,15 +128,15 @@ let session cfg ~stop ~pool s =
       let now = Unix.gettimeofday () in
       if now -. !last_heartbeat >= cfg.heartbeat_interval then begin
         last_heartbeat := now;
-        enqueue s
+        Conn.send conn
           (P.heartbeat_msg ~worker:cfg.name ~inflight:(Pool.load pool))
       end;
-      flush_session s;
+      Conn.flush conn;
       loop ()
     end
   in
   let outcome = loop () in
-  close_session s;
+  Conn.close conn;
   (* Leases die with the session: the dispatcher has already (or will)
      requeue them elsewhere; finishing them here would only produce
      fenced discards. *)
@@ -227,20 +175,13 @@ let run ?(stop = fun () -> false) cfg =
           sleep delay;
           connect_loop ~failures:(failures + 1) ~prev_delay:delay
       | Ok client ->
-          let fd = Serve.Client.fd client in
-          Unix.set_nonblock fd;
-          let s =
-            {
-              s_fd = fd;
-              s_dec = Frame.decoder ~max_frame:cfg.max_frame ();
-              s_out = "";
-              s_alive = true;
-            }
+          let conn =
+            Conn.create ~max_frame:cfg.max_frame (Serve.Client.fd client)
           in
           cfg.log
             (Printf.sprintf "worker %s: connected to %s" cfg.name
                (Endpoint.describe cfg.endpoint));
-          (match session cfg ~stop ~pool s with
+          (match session cfg ~stop ~pool conn with
           | `Stopped -> Ok ()
           | `Disconnected ->
               cfg.log

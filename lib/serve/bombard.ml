@@ -217,11 +217,14 @@ let run cfg =
     let rfd, wfd = Unix.pipe () in
     match Unix.fork () with
     | 0 ->
-        (try Unix.close rfd with Unix.Unix_error _ -> ());
-        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        let t = run_client cfg ~index in
-        write_all wfd (tally_to_json t);
-        (try Unix.close wfd with Unix.Unix_error _ -> ());
+        (* A client leaves only through _exit: an exception must not
+           unwind into this forked copy of the caller. *)
+        (try
+           (try Unix.close rfd with Unix.Unix_error _ -> ());
+           Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+           write_all wfd (tally_to_json (run_client cfg ~index));
+           Unix.close wfd
+         with _ -> ());
         Unix._exit 0
     | pid ->
         Unix.close wfd;

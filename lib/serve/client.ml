@@ -1,6 +1,10 @@
 module Jsonl = Batch.Jsonl
 
-type t = { c_fd : Unix.file_descr }
+type t = {
+  c_fd : Unix.file_descr;
+  c_dec : Frame.decoder;
+  c_ready : string Queue.t;  (* replies read off the socket, not yet returned *)
+}
 
 let fd t = t.c_fd
 let close t = try Unix.close t.c_fd with Unix.Unix_error _ -> ()
@@ -23,7 +27,8 @@ let connect_addr ?(timeout = 5.) ?(backoff = Batch.Retry.backoff ()) what
   let rec attempt n prev_delay =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
-    | () -> Ok { c_fd = fd }
+    | () ->
+        Ok { c_fd = fd; c_dec = Frame.decoder (); c_ready = Queue.create () }
     | exception Unix.Unix_error (err, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         if
@@ -59,12 +64,21 @@ let build ~op ~id fields =
 
 let send t payload = Frame.send t.c_fd payload
 
-let recv ?max_frame ?(timeout = 30.) t =
-  match Frame.recv ?max_frame ~timeout t.c_fd with
+let recv ?(timeout = 30.) t =
+  let received =
+    if Queue.is_empty t.c_ready then
+      Result.map
+        (List.iter (fun p -> Queue.add p t.c_ready))
+        (Frame.recv ~timeout t.c_dec t.c_fd)
+    else Ok ()
+  in
+  match received with
   | Error d -> Error d
-  | Ok None -> Ok None
-  | Ok (Some payload) ->
-      Result.map Option.some (Protocol.parse_response ?max_bytes:max_frame payload)
+  | Ok () -> (
+      match Queue.take_opt t.c_ready with
+      | None -> Ok None
+      | Some payload ->
+          Result.map Option.some (Protocol.parse_response payload))
 
 let request ?timeout t payload =
   match send t payload with

@@ -30,10 +30,10 @@ val send : t -> string -> (unit, Diag.t) result
 (** Send one framed payload. *)
 
 val recv :
-  ?max_frame:int -> ?timeout:float -> t ->
-  (Protocol.response option, Diag.t) result
-(** Next response frame; [Ok None] on clean EOF. [timeout] defaults to
-    30s. *)
+  ?timeout:float -> t -> (Protocol.response option, Diag.t) result
+(** Next response frame, in arrival order — replies to pipelined
+    requests that arrive together are kept for later calls; [Ok None] on
+    clean EOF. [timeout] defaults to 30s. *)
 
 val request :
   ?timeout:float -> t -> string -> (Protocol.response, Diag.t) result

@@ -47,45 +47,12 @@ let drain_requested = ref false
 (* --- Connections -------------------------------------------------------- *)
 
 type conn = {
-  c_fd : Unix.file_descr;
-  c_dec : Frame.decoder;
-  mutable c_out : string;  (* bytes accepted but not yet written *)
+  c_conn : Conn.t;
   mutable c_last_read : float;
   mutable c_eof : bool;  (* peer half-closed; finish writes, then close *)
   mutable c_outstanding : int;  (* responses owed by in-flight work *)
-  mutable c_alive : bool;
+  mutable c_refused : bool;  (* sent an oversized frame; input is dropped *)
 }
-
-let close_conn c =
-  if c.c_alive then begin
-    c.c_alive <- false;
-    try Unix.close c.c_fd with Unix.Unix_error _ -> ()
-  end
-
-(* Nonblocking flush; a vanished peer (EPIPE, ECONNRESET) just closes the
-   connection — SIGPIPE is ignored process-wide. *)
-let flush_conn c =
-  if c.c_alive && c.c_out <> "" then begin
-    let b = Bytes.unsafe_of_string c.c_out in
-    let rec go off =
-      if off >= Bytes.length b then off
-      else
-        match Unix.write c.c_fd b off (Bytes.length b - off) with
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            off
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (_, _, _) ->
-            close_conn c;
-            Bytes.length b
-    in
-    let off = go 0 in
-    if c.c_alive then
-      c.c_out <-
-        (if off >= String.length c.c_out then ""
-         else String.sub c.c_out off (String.length c.c_out - off))
-  end
 
 (* --- Daemon state ------------------------------------------------------- *)
 
@@ -106,25 +73,19 @@ type state = {
   mutable conns : conn list;
   inflight : (string, inflight) Hashtbl.t;  (* job id -> *)
   graphs : (string, Dfg.Graph.t) Hashtbl.t;  (* parsed-DFG memo *)
-  libs : (string, Celllib.Library.t) Hashtbl.t;  (* warm cell-library memo *)
   mutable draining : bool;
   mutable drain_at : float;
 }
 
-let respond st c payload =
-  if c.c_alive then begin
-    c.c_out <- c.c_out ^ Frame.encode payload;
-    flush_conn c
-  end;
-  ignore st
+let respond c payload = Conn.send c.c_conn payload
 
 let respond_ok st c s =
   Stats.note_ok st.stats;
-  respond st c s
+  respond c s
 
 let respond_error st c s =
   Stats.note_error st.stats;
-  respond st c s
+  respond c s
 
 (* --- Graph resolution --------------------------------------------------- *)
 
@@ -158,33 +119,6 @@ let resolve_graph st source ~cse =
           Hashtbl.replace st.graphs memo_key g;
           g)
         parsed
-
-(* Warm cell-library cache: building the per-graph NCR library walks the
-   whole graph, and a daemon serves the same few graphs over and over.
-   Keyed by graph identity plus the library variant so two-cycle /
-   pipelined libraries get their own slots. *)
-let library_for st graph variant =
-  let key =
-    Batch.Jobs.digest
-      (Dfg.Parser.to_source graph ^ "|" ^ Explore.Spec.library_name variant)
-  in
-  match Hashtbl.find_opt st.libs key with
-  | Some lib ->
-      Stats.note_lib_hit st.stats;
-      lib
-  | None ->
-      Stats.note_lib_miss st.stats;
-      let lib =
-        match variant with
-        | Explore.Spec.Default -> Celllib.Ncr.for_graph graph
-        | Explore.Spec.Two_cycle ->
-            Celllib.Ncr.two_cycle_multiplier (Celllib.Ncr.for_graph graph)
-        | Explore.Spec.Pipelined ->
-            Celllib.Ncr.pipelined_multiplier (Celllib.Ncr.for_graph graph)
-      in
-      if Hashtbl.length st.libs > 128 then Hashtbl.reset st.libs;
-      Hashtbl.replace st.libs key lib;
-      lib
 
 (* --- Verdicts to responses ---------------------------------------------- *)
 
@@ -262,7 +196,7 @@ let handle_lint st conn ~id source clock =
   match resolve_graph st source ~cse:false with
   | Error d -> respond_error st conn (P.error_response ~id d)
   | Ok graph ->
-      let lib = library_for st graph Explore.Spec.Default in
+      let lib = Celllib.Ncr.for_graph graph in
       let config = Core.Config.of_library lib in
       let config =
         match clock with
@@ -381,8 +315,7 @@ let handle_request st conn (env : P.envelope) =
               ~connections:(List.length st.conns)
               ~shed:(Admission.shed_count st.adm)
               ~workers:[]
-              ~cache:(Cache.stats st.cache)
-              ~lib_entries:(Hashtbl.length st.libs)))
+              ~cache:(Cache.stats st.cache)))
   | P.Lint { source; clock } -> handle_lint st conn ~id source clock
   | P.Schedule { source; opts } -> (
       match resolve_graph st source ~cse:opts.P.cse with
@@ -407,7 +340,7 @@ let handle_request st conn (env : P.envelope) =
           match Cache.find st.cache key with
           | Some entry ->
               Stats.note_ok st.stats;
-              respond st conn (cached_entry_response ~id entry)
+              respond conn (cached_entry_response ~id entry)
           | None ->
               enqueue st conn ~id
                 ~cache_as:(Cache_point (Lattice.descr point))
@@ -503,7 +436,7 @@ let complete st (c : Pool.completion) =
           (match c.Pool.c_verdict with
           | Batch.Verdict.Done _ -> Stats.note_ok st.stats
           | _ -> Stats.note_error st.stats);
-          respond st w.w_conn resp)
+          respond w.w_conn resp)
         (List.rev infl.waiters);
       Cache.unpin st.cache key
 
@@ -606,7 +539,6 @@ let run ?(ready = fun () -> ()) cfg =
       conns = [];
       inflight = Hashtbl.create 32;
       graphs = Hashtbl.create 32;
-      libs = Hashtbl.create 32;
       draining = false;
       drain_at = 0.;
     }
@@ -620,11 +552,11 @@ let run ?(ready = fun () -> ()) cfg =
        | Some p -> Printf.sprintf " and 127.0.0.1:%d" p)
        cfg.workers cfg.deadline cfg.queue_limit);
   ready ();
-  let chunk = Bytes.create 65536 in
   let overloaded_conn fd =
     (* Accepted over max_conns: one typed frame, then close, so the
        accept queue never silently starves. Best effort — the frame is
        small enough to fit the socket buffer. *)
+    Unix.set_nonblock fd;
     ignore
       (Frame.send fd
          (P.error_response ~id:""
@@ -639,19 +571,16 @@ let run ?(ready = fun () -> ()) cfg =
           let rec accept_loop () =
             match Unix.accept lfd with
             | fd, _ ->
-                Unix.set_nonblock fd;
                 if List.length st.conns >= cfg.max_conns then
                   overloaded_conn fd
                 else
                   st.conns <-
                     {
-                      c_fd = fd;
-                      c_dec = Frame.decoder ~max_frame:cfg.max_frame ();
-                      c_out = "";
+                      c_conn = Conn.create ~max_frame:cfg.max_frame fd;
                       c_last_read = Unix.gettimeofday ();
                       c_eof = false;
                       c_outstanding = 0;
-                      c_alive = true;
+                      c_refused = false;
                     }
                     :: st.conns;
                 accept_loop ()
@@ -667,42 +596,37 @@ let run ?(ready = fun () -> ()) cfg =
       !listeners
   in
   let read_conn c =
-    let rec go () =
-      match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-      | 0 ->
+    if Conn.alive c.c_conn && not c.c_eof then begin
+      let frames, status = Conn.read c.c_conn in
+      List.iter
+        (fun payload ->
+          if Conn.alive c.c_conn then
+            match P.parse_request ~max_bytes:cfg.max_frame payload with
+            | Error d -> respond_error st c (P.error_response ~id:"" d)
+            | Ok env -> handle_request st c env)
+        frames;
+      match status with
+      | Conn.Open ->
+          if not c.c_refused then c.c_last_read <- Unix.gettimeofday ()
+      | Conn.Eof ->
           (* Half-close: the peer is done sending but may still be
              reading. Keep the connection until owed responses and
              buffered bytes are out. *)
           c.c_eof <- true;
-          if Frame.has_partial c.c_dec then close_conn c
-          else if c.c_outstanding = 0 && c.c_out = "" then close_conn c
-      | n -> (
-          c.c_last_read <- Unix.gettimeofday ();
-          match Frame.feed c.c_dec (Bytes.sub_string chunk 0 n) with
-          | Error d ->
-              (* Oversized frame: the stream cannot re-sync. One typed
-                 response, flush, close. *)
-              respond_error st c (P.error_response ~id:"" d);
-              flush_conn c;
-              close_conn c
-          | Ok frames ->
-              List.iter
-                (fun payload ->
-                  if c.c_alive then
-                    match
-                      P.parse_request ~max_bytes:cfg.max_frame payload
-                    with
-                    | Error d ->
-                        respond_error st c (P.error_response ~id:"" d)
-                    | Ok env -> handle_request st c env)
-                frames;
-              if c.c_alive then go ())
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error (_, _, _) -> close_conn c
-    in
-    if c.c_alive && not c.c_eof then go ()
+          if
+            (Conn.has_partial c.c_conn && not c.c_refused)
+            || (c.c_outstanding = 0 && not (Conn.has_output c.c_conn))
+          then Conn.close c.c_conn
+      | Conn.Too_large d ->
+          (* Oversized frame: the stream cannot re-sync. One typed
+             response, then linger, dropping input until the peer closes
+             or read_timeout passes: closing now would fail a peer still
+             writing the frame with EPIPE before it reads the refusal. *)
+          respond_error st c (P.error_response ~id:"" d);
+          c.c_refused <- true;
+          c.c_last_read <- Unix.gettimeofday ()
+      | Conn.Failed -> Conn.close c.c_conn
+    end
   in
   let dispatch () =
     let rec go () =
@@ -719,28 +643,29 @@ let run ?(ready = fun () -> ()) cfg =
     List.iter
       (fun c ->
         if
-          c.c_alive
+          Conn.alive c.c_conn
           && (not c.c_eof)
-          && Frame.has_partial c.c_dec
+          && (Conn.has_partial c.c_conn || c.c_refused)
           && now -. c.c_last_read > cfg.read_timeout
         then begin
-          respond_error st c
-            (P.error_response ~id:""
-               (Diag.input ~code:"serve.read-timeout"
-                  (Printf.sprintf
-                     "no progress on a partial frame for %.0fs" cfg.read_timeout)));
-          flush_conn c;
-          close_conn c
+          if not c.c_refused then
+            respond_error st c
+              (P.error_response ~id:""
+                 (Diag.input ~code:"serve.read-timeout"
+                    (Printf.sprintf
+                       "no progress on a partial frame for %.0fs"
+                       cfg.read_timeout)));
+          Conn.close c.c_conn
         end)
       st.conns
   in
   let prune_conns () =
     List.iter
       (fun c ->
-        if c.c_alive && c.c_eof && c.c_outstanding = 0 && c.c_out = "" then
-          close_conn c)
+        if c.c_eof && c.c_outstanding = 0 && not (Conn.has_output c.c_conn)
+        then Conn.close c.c_conn)
       st.conns;
-    st.conns <- List.filter (fun c -> c.c_alive) st.conns
+    st.conns <- List.filter (fun c -> Conn.alive c.c_conn) st.conns
   in
   let rec loop () =
     if !drain_requested && not st.draining then begin
@@ -756,20 +681,22 @@ let run ?(ready = fun () -> ()) cfg =
       st.draining
       && Admission.depth st.adm = 0
       && Pool.load st.pool = 0
-      && List.for_all (fun c -> c.c_out = "") st.conns
+      && not (List.exists (fun c -> Conn.has_output c.c_conn) st.conns)
     in
     if not finished then begin
       let rfds =
         !listeners
         @ List.filter_map
             (fun c ->
-              if c.c_alive && not c.c_eof then Some c.c_fd else None)
+              if Conn.alive c.c_conn && not c.c_eof then Some (Conn.fd c.c_conn)
+              else None)
             st.conns
         @ Pool.worker_fds st.pool
       in
       let wfds =
         List.filter_map
-          (fun c -> if c.c_alive && c.c_out <> "" then Some c.c_fd else None)
+          (fun c ->
+            if Conn.has_output c.c_conn then Some (Conn.fd c.c_conn) else None)
           st.conns
       in
       let ready_r, ready_w =
@@ -779,12 +706,13 @@ let run ?(ready = fun () -> ()) cfg =
       in
       accept_ready ready_r;
       List.iter
-        (fun c -> if List.memq c.c_fd ready_r then read_conn c)
+        (fun c -> if List.memq (Conn.fd c.c_conn) ready_r then read_conn c)
         st.conns;
       dispatch ();
       List.iter (complete st) (Pool.step st.pool);
       List.iter
-        (fun c -> if List.memq c.c_fd ready_w then flush_conn c)
+        (fun c ->
+          if List.memq (Conn.fd c.c_conn) ready_w then Conn.flush c.c_conn)
         st.conns;
       let now = Unix.gettimeofday () in
       enforce_read_timeouts now;
@@ -804,22 +732,22 @@ let run ?(ready = fun () -> ()) cfg =
   let flush_deadline = Unix.gettimeofday () +. 1.0 in
   let rec final_flush () =
     let pending =
-      List.filter (fun c -> c.c_alive && c.c_out <> "") st.conns
+      List.filter_map
+        (fun c -> if Conn.has_output c.c_conn then Some c.c_conn else None)
+        st.conns
     in
     if pending <> [] && Unix.gettimeofday () < flush_deadline then begin
-      (match
-         Unix.select [] (List.map (fun c -> c.c_fd) pending) [] 0.1
-       with
+      (match Unix.select [] (List.map Conn.fd pending) [] 0.1 with
       | _, ready, _ ->
           List.iter
-            (fun c -> if List.memq c.c_fd ready then flush_conn c)
+            (fun c -> if List.memq (Conn.fd c) ready then Conn.flush c)
             pending
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       final_flush ()
     end
   in
   final_flush ();
-  List.iter close_conn st.conns;
+  List.iter (fun c -> Conn.close c.c_conn) st.conns;
   Option.iter Cache.close st.cache_writer;
   Option.iter Journal.close st.journal;
   (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());

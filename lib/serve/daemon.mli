@@ -13,11 +13,12 @@
     with [serve.overloaded] plus a retry-after hint); identical in-flight
     requests coalesce on their content key and are answered together;
     reads are guarded by a max-frame check and a mid-frame timeout
-    (slowloris); writes are EPIPE-safe and buffered per connection; and
-    the design is {e crash-only} — both durable artifacts (the shared
-    {!Explore.Cache} JSONL store and the request {!Batch.Journal}) are
-    fsynced per line, so recovery from [kill -9] is just a restart: the
-    cache reloads warm and repeated requests answer without re-running.
+    (slowloris); writes are EPIPE-safe and queued per connection
+    ({!Conn}); and the design is {e crash-only} — both durable artifacts
+    (the shared {!Explore.Cache} JSONL store and the request
+    {!Batch.Journal}) are fsynced per line, so recovery from [kill -9] is
+    just a restart: the cache reloads warm and repeated requests answer
+    without re-running.
     A store that fails to parse at startup is moved aside to
     [PATH.corrupt] and the daemon starts cold rather than refusing to
     start. SIGTERM/SIGINT begin a graceful drain: listeners close,
@@ -39,7 +40,8 @@ type config = {
   max_frame : int;  (** Wire frame / JSON document byte ceiling. *)
   read_timeout : float;
       (** Seconds a partial frame may sit without progress before the
-          connection is dropped. *)
+          connection is dropped — and the longest a connection lingers,
+          dropping input, after its oversized frame is refused. *)
   drain_timeout : float;
       (** Seconds a drain waits for in-flight work before SIGKILL. *)
   cache_path : string option;  (** Shared result cache (JSONL). *)

@@ -59,8 +59,7 @@ let write_all fd s =
 
 let send fd payload = write_all fd (encode payload)
 
-let recv ?max_frame ?timeout fd =
-  let d = decoder ?max_frame () in
+let recv ?timeout d fd =
   let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
   let chunk = Bytes.create 65536 in
   let rec wait_readable () =
@@ -89,12 +88,11 @@ let recv ?max_frame ?timeout fd =
               Error
                 (Diag.input ~code:"serve.io"
                    "peer closed the connection mid-frame")
-            else Ok None
+            else Ok []
         | n -> (
             match feed d (Bytes.sub_string chunk 0 n) with
-            | Error e -> Error e
-            | Ok (payload :: _) -> Ok (Some payload)
-            | Ok [] -> loop ())
+            | Ok [] -> loop ()
+            | result -> result)
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | exception Unix.Unix_error (err, _, _) -> Error (io_error err))
   in

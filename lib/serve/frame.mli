@@ -8,8 +8,8 @@
     frame forever is cut by the daemon's read timeout — the decoder
     exposes {!has_partial} so the timeout only applies mid-frame.
 
-    The blocking helpers ({!send}, {!recv}) serve the client side; the
-    daemon feeds its own non-blocking reads through a {!decoder}. All IO
+    The blocking helpers ({!send}, {!recv}) serve {!Client}; non-blocking
+    connections ({!Conn}) feed their reads through a {!decoder}. All IO
     errors — EPIPE on a vanished peer included — surface as typed
     [serve.io] diagnostics, never as uncaught [Unix_error]s (the process
     must also ignore SIGPIPE; [synth] does so at startup). *)
@@ -48,9 +48,12 @@ val send : Unix.file_descr -> string -> (unit, Diag.t) result
 (** [write_all] of [encode]. *)
 
 val recv :
-  ?max_frame:int -> ?timeout:float -> Unix.file_descr ->
-  (string option, Diag.t) result
-(** Block until one whole frame arrives ([Ok (Some payload)]), the peer
-    closes cleanly between frames ([Ok None]), the peer closes mid-frame
-    ([serve.io]), [timeout] elapses ([serve.timeout]) or a frame breaks
-    [max_frame]. *)
+  ?timeout:float -> decoder -> Unix.file_descr ->
+  (string list, Diag.t) result
+(** Block until the bytes read complete at least one frame and return
+    every frame they complete, in order — a peer answering pipelined
+    requests can complete several in one read, so keep one decoder per
+    connection and every frame returned. [Ok []] means the peer closed
+    cleanly between frames; the peer closing mid-frame is [serve.io],
+    [timeout] elapsing [serve.timeout], a frame breaking the decoder's
+    [max_frame] [serve.frame-too-large]. *)

@@ -10,8 +10,6 @@ type t = {
   mutable crashed : int;
   mutable ok : int;
   mutable error : int;
-  mutable lib_hits : int;
-  mutable lib_misses : int;
 }
 
 let create () =
@@ -25,8 +23,6 @@ let create () =
     crashed = 0;
     ok = 0;
     error = 0;
-    lib_hits = 0;
-    lib_misses = 0;
   }
 
 let note_request t op =
@@ -42,11 +38,8 @@ let note_verdict t = function
 
 let note_ok t = t.ok <- t.ok + 1
 let note_error t = t.error <- t.error + 1
-let note_lib_hit t = t.lib_hits <- t.lib_hits + 1
-let note_lib_miss t = t.lib_misses <- t.lib_misses + 1
 
-let to_json t ~queue_depth ~in_flight ~connections ~shed ~workers ~cache
-    ~lib_entries =
+let to_json t ~queue_depth ~in_flight ~connections ~shed ~workers ~cache =
   let ops =
     Hashtbl.fold (fun op n acc -> (op, Jsonl.Int n) :: acc) t.by_op []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -89,12 +82,5 @@ let to_json t ~queue_depth ~in_flight ~connections ~shed ~workers ~cache
             ("misses", Jsonl.Int c.Explore.Cache.misses);
             ("evictions", Jsonl.Int c.Explore.Cache.evictions);
             ("hit_rate", Jsonl.Float hit_rate);
-          ] );
-      ( "library_cache",
-        Jsonl.Obj
-          [
-            ("entries", Jsonl.Int lib_entries);
-            ("hits", Jsonl.Int t.lib_hits);
-            ("misses", Jsonl.Int t.lib_misses);
           ] );
     ]

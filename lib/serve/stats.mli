@@ -18,10 +18,6 @@ val note_ok : t -> unit
 val note_error : t -> unit
 (** Count one typed-error response (bad request, draining, shed…). *)
 
-val note_lib_hit : t -> unit
-val note_lib_miss : t -> unit
-(** Count one warm cell-library cache lookup (hit / rebuild). *)
-
 val to_json :
   t ->
   queue_depth:int ->
@@ -30,7 +26,6 @@ val to_json :
   shed:int ->
   workers:Batch.Jsonl.t list ->
   cache:Explore.Cache.stats ->
-  lib_entries:int ->
   Batch.Jsonl.t
 (** One stats snapshot: uptime, per-op and per-verdict counters, load
     and cache counters with the derived hit rate, plus the

@@ -332,6 +332,82 @@ let resume_after_sigkill () =
   | Error d, _ | _, Error d -> Alcotest.failf "%s" (Diag.to_string d));
   List.iter Sys.remove [ journal; reference ]
 
+let write_file path s =
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc s);
+  Sys.rename tmp path
+
+(* A process that exists only as a zombie awaiting its adopter's reap
+   counts as gone. *)
+let process_gone pid =
+  match Unix.kill pid 0 with
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+  | () -> (
+      match
+        In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+          In_channel.input_all
+      with
+      | stat -> (
+          match String.rindex_opt stat ')' with
+          | Some i -> i + 2 < String.length stat && stat.[i + 2] = 'Z'
+          | None -> false)
+      | exception Sys_error _ -> false)
+
+(* Every forked worker leaves through _exit. With SIGPIPE ignored, a
+   worker that outlives its supervisor fails its result write with EPIPE;
+   that error must not unwind into the worker's forked copy of the
+   supervisor and run on as one. *)
+let orphaned_worker_exits () =
+  let marker = tmp_path "orphan-escaped" in
+  let pidfile = tmp_path "orphan.pid" in
+  let cleanup () =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ marker; pidfile ]
+  in
+  cleanup ();
+  let sleep = 0.5 in
+  let job =
+    Batch.Pool.job ~id:"orphan" ~seed:0 ~descr:"outlives its supervisor"
+      (fun () ->
+        write_file pidfile (string_of_int (Unix.getpid ()));
+        Unix.sleepf sleep;
+        Ok "{}")
+  in
+  let supervisor =
+    match Unix.fork () with
+    | 0 ->
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        (try
+           ignore
+             (Batch.Pool.run ~retry:Batch.Retry.none ~deadline:20.0 [ job ])
+         with _ -> write_file marker "escaped");
+        Unix._exit 0
+    | pid -> pid
+  in
+  let rec await_worker tries =
+    match In_channel.with_open_bin pidfile In_channel.input_all with
+    | s -> int_of_string s
+    | exception Sys_error _ when tries > 0 ->
+        Unix.sleepf 0.01;
+        await_worker (tries - 1)
+  in
+  let worker = await_worker 500 in
+  let gone_by = Unix.gettimeofday () +. sleep +. 1.0 in
+  Unix.kill supervisor Sys.sigkill;
+  ignore (Unix.waitpid [] supervisor);
+  while (not (process_gone worker)) && Unix.gettimeofday () < gone_by do
+    Unix.sleepf 0.02
+  done;
+  let gone = process_gone worker in
+  if not gone then
+    (try Unix.kill worker Sys.sigkill with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "orphan gone within its sleep + 1s" true gone;
+  Alcotest.(check bool) "orphan never returned into the pool's caller" false
+    (Sys.file_exists marker);
+  cleanup ()
+
 (* --- pooled fuzz -------------------------------------------------------- *)
 
 (* Satellite: campaign summaries are independent of the worker count —
@@ -410,4 +486,6 @@ let suite =
       pooled_fuzz_matches_sequential;
     test "manifest: flags, faults, comments and malformed lines"
       manifest_parsing;
+    test "pool: an orphaned worker exits instead of running on"
+      orphaned_worker_exits;
   ]

@@ -352,6 +352,128 @@ let dispatcher_resume_replays () =
   Alcotest.(check string) "journal byte-identical" before after;
   try Sys.remove journal with Sys_error _ -> ()
 
+(* --- One driver: Pool.run and Dispatcher.run behave alike ---------------- *)
+
+let local_dispatch ?journal ~retry ~deadline jobs =
+  match
+    Dispatcher.run
+      ~config:{ Dispatcher.default_config with Dispatcher.local_workers = 2 }
+      ?journal ~retry ~deadline
+      (List.map (fun j -> (j, None)) jobs)
+  with
+  | Ok (o, _) -> o
+  | Error d -> Alcotest.fail (Diag.to_string d)
+
+let pool_run ?journal ~retry ~deadline jobs =
+  match Pool.run ~workers:2 ?journal ~retry ~deadline jobs with
+  | Ok o -> o
+  | Error d -> Alcotest.fail (Diag.to_string d)
+
+let load_journal path =
+  match Batch.Journal.load path with
+  | Ok rs -> rs
+  | Error d -> Alcotest.fail (Diag.to_string d)
+
+let driver_retry_parity () =
+  let jobs =
+    [
+      Pool.job ~id:"clean" ~seed:0 ~descr:"clean" (fun () -> Ok "{\"n\":0}");
+      Pool.job ~id:"slow" ~seed:1 ~descr:"sleeps past its deadline"
+        ~degraded:(fun () -> Ok "{\"degraded\":true}")
+        (fun () ->
+          Unix.sleepf 5.0;
+          Ok "{\"n\":1}");
+    ]
+  in
+  let run_with name driver =
+    let journal = tmp (name ^ "-parity.jsonl") in
+    (try Sys.remove journal with Sys_error _ -> ());
+    let o = driver ~journal ~retry:Retry.default ~deadline:0.5 jobs in
+    let records = load_journal journal in
+    Sys.remove journal;
+    (o, records)
+  in
+  let pool_o, pool_j =
+    run_with "pool" (fun ~journal -> pool_run ~journal)
+  in
+  let disp_o, disp_j =
+    run_with "dispatcher" (fun ~journal -> local_dispatch ~journal)
+  in
+  let untimed rs =
+    List.map (fun r -> { r with Batch.Journal.seconds = 0. }) rs
+  in
+  Alcotest.(check bool) "equal records, ignoring seconds" true
+    (untimed pool_o.Pool.records = untimed disp_o.Pool.records);
+  let attempts rs =
+    List.filter_map
+      (fun (r : Batch.Journal.record) ->
+        if r.Batch.Journal.id = "slow" then
+          Some (r.Batch.Journal.attempt, r.Batch.Journal.final,
+                r.Batch.Journal.verdict)
+        else None)
+      rs
+  in
+  List.iter
+    (fun (name, rs) ->
+      Alcotest.(check bool) (name ^ ": timeout, then degraded done") true
+        (attempts rs
+        = [
+            (1, false, Batch.Verdict.Timeout);
+            (2, true, Batch.Verdict.Done "{\"degraded\":true}");
+          ]))
+    [ ("pool", pool_j); ("dispatcher", disp_j) ];
+  Alcotest.(check bool) "journals equivalent" true
+    (Batch.Journal.equivalent pool_j disp_j)
+
+let driver_interrupt_parity () =
+  let restore () =
+    Sys.set_signal Sys.sigint Sys.Signal_default;
+    Sys.set_signal Sys.sigterm Sys.Signal_default
+  in
+  Pool.install_signal_handlers ();
+  Fun.protect ~finally:restore @@ fun () ->
+  let check_driver name driver =
+    let pidfile = tmp (name ^ "-long.pid") in
+    (try Sys.remove pidfile with Sys_error _ -> ());
+    let jobs =
+      [
+        Pool.job ~id:"long" ~seed:0 ~descr:"long" (fun () ->
+            Out_channel.with_open_bin (pidfile ^ ".tmp") (fun oc ->
+                output_string oc (string_of_int (Unix.getpid ())));
+            Sys.rename (pidfile ^ ".tmp") pidfile;
+            Unix.sleepf 30.0;
+            Ok "{}");
+        Pool.job ~id:"kick" ~seed:1 ~descr:"interrupts its supervisor"
+          (fun () ->
+            let rec await n =
+              if n > 0 && not (Sys.file_exists pidfile) then begin
+                Unix.sleepf 0.01;
+                await (n - 1)
+              end
+            in
+            await 500;
+            Unix.kill (Unix.getppid ()) Sys.sigint;
+            Ok "{}");
+      ]
+    in
+    let o = driver ~retry:Retry.none ~deadline:60.0 jobs in
+    Alcotest.(check bool) (name ^ ": interrupted") true o.Pool.interrupted;
+    Alcotest.(check bool) (name ^ ": no record for the long job") false
+      (List.exists
+         (fun (r : Batch.Journal.record) -> r.Batch.Journal.id = "long")
+         o.Pool.records);
+    let pid =
+      int_of_string (In_channel.with_open_bin pidfile In_channel.input_all)
+    in
+    Sys.remove pidfile;
+    Alcotest.(check bool) (name ^ ": long worker killed and reaped") true
+      (match Unix.kill pid 0 with
+      | () -> false
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true)
+  in
+  check_driver "pool" (pool_run ?journal:None);
+  check_driver "dispatcher" (local_dispatch ?journal:None)
+
 (* --- Chaos (one real fan-out with planted faults) ------------------------ *)
 
 let chaos_small_cluster () =
@@ -404,4 +526,7 @@ let suite =
     test "dispatcher: resume replays without re-running"
       dispatcher_resume_replays;
     test "chaos: kill -9 mid-lease loses nothing" chaos_small_cluster;
+    test "driver: pool and dispatcher retry alike" driver_retry_parity;
+    test "driver: pool and dispatcher stop alike on SIGINT"
+      driver_interrupt_parity;
   ]

@@ -66,6 +66,111 @@ let frame_oversize_refused_from_header () =
   Alcotest.(check string) "negative length refused" "serve.frame-too-large"
     e.Diag.code
 
+(* --- Connections --------------------------------------------------------- *)
+
+(* A Conn over one end of a socketpair with a small send buffer, so
+   frames split across partial writes; the other end is the raw peer. *)
+let conn_pair ?max_frame () =
+  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int mine Unix.SO_SNDBUF 4096;
+  Unix.set_nonblock peer;
+  (Conn.create ?max_frame mine, peer)
+
+(* Whatever the peer can read right now, at most [n] bytes, decoded. *)
+let peer_burst peer dec n =
+  let buf = Bytes.create n in
+  match Unix.read peer buf 0 n with
+  | 0 -> []
+  | k ->
+      Helpers.check_okd "peer feed" (Frame.feed dec (Bytes.sub_string buf 0 k))
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> []
+
+(* Flush and read in bursts until [want] frames arrived (or 10s). *)
+let drain_to_peer c peer dec ~want got =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec go got n =
+    if n >= want || Unix.gettimeofday () > deadline then List.rev got
+    else begin
+      Conn.flush c;
+      let fs = peer_burst peer dec 1024 in
+      go (List.rev_append fs got) (n + List.length fs)
+    end
+  in
+  go (List.rev got) (List.length got)
+
+let conn_partial_writes_keep_order () =
+  let c, peer = conn_pair () in
+  (* Every seventh frame outgrows the send buffer and must split. *)
+  let payload i =
+    let n = (i * 7919) mod 3000 in
+    Printf.sprintf "%d:%s" i
+      (String.make (if i mod 7 = 0 then 8000 + (8 * n) else n) 'a')
+  in
+  let dec = Frame.decoder () in
+  let got = ref [] and backlog = ref false in
+  for i = 0 to 999 do
+    Conn.send c (payload i);
+    backlog := !backlog || Conn.has_output c;
+    got := !got @ peer_burst peer dec 1024
+  done;
+  Alcotest.(check bool) "output backed up" true !backlog;
+  let got = drain_to_peer c peer dec ~want:1000 !got in
+  Alcotest.(check int) "all frames" 1000 (List.length got);
+  Alcotest.(check bool) "intact and in order" true
+    (got = List.init 1000 payload);
+  Alcotest.(check bool) "queue empty" false (Conn.has_output c);
+  Conn.close c;
+  Unix.close peer
+
+let conn_peer_close_mid_flush () =
+  let c, peer = conn_pair () in
+  Conn.send c (String.make 1_000_000 'x');
+  Alcotest.(check bool) "backlog queued" true (Conn.has_output c);
+  Unix.close peer;
+  Conn.flush c;
+  Alcotest.(check bool) "dead" false (Conn.alive c);
+  Alcotest.(check bool) "output dropped" false (Conn.has_output c);
+  Conn.send c "{}";
+  Conn.flush c
+
+let conn_oversize_header () =
+  let c, peer = conn_pair ~max_frame:64 () in
+  let header = Bytes.create Frame.header_bytes in
+  Bytes.set_int32_be header 0 65l;
+  ignore (Unix.write peer header 0 Frame.header_bytes);
+  (match Conn.read c with
+  | [], Conn.Too_large d ->
+      Alcotest.(check string) "typed code" "serve.frame-too-large" d.Diag.code
+  | _ -> Alcotest.fail "expected Too_large");
+  Alcotest.(check bool) "closing is the caller's call" true (Conn.alive c);
+  (* The poisoned stream drops what follows until the peer closes. *)
+  ignore (Unix.write_substring peer (String.make 100 'x') 0 100);
+  (match Conn.read c with
+  | [], Conn.Open -> ()
+  | _ -> Alcotest.fail "expected the rest dropped");
+  Unix.close peer;
+  (match Conn.read c with
+  | [], Conn.Eof -> ()
+  | _ -> Alcotest.fail "expected Eof after the drop");
+  Conn.close c
+
+let conn_half_close_still_flushes () =
+  let c, peer = conn_pair () in
+  Helpers.check_okd "peer send" (Frame.send peer "{\"op\":\"ping\"}");
+  Unix.shutdown peer Unix.SHUTDOWN_SEND;
+  (match Conn.read c with
+  | [ p ], Conn.Eof -> Alcotest.(check string) "frame" "{\"op\":\"ping\"}" p
+  | _ -> Alcotest.fail "expected one frame, then Eof");
+  Alcotest.(check bool) "no partial frame" false (Conn.has_partial c);
+  let reply = String.make 200_000 'r' in
+  Conn.send c reply;
+  Alcotest.(check bool) "reply owed" true (Conn.has_output c);
+  let got = drain_to_peer c peer (Frame.decoder ()) ~want:1 [] in
+  Alcotest.(check bool) "owed reply delivered" true (got = [ reply ]);
+  Alcotest.(check bool) "still alive" true (Conn.alive c);
+  Conn.close c;
+  Unix.close peer
+
 (* --- Protocol ------------------------------------------------------------ *)
 
 let request_parses () =
@@ -141,6 +246,41 @@ let admission_sheds_beyond_limit () =
   Alcotest.(check (option string)) "FIFO pop 2" (Some "b") (Admission.pop a);
   Alcotest.(check (option string)) "drained" None (Admission.pop a);
   Alcotest.(check int) "depth zero" 0 (Admission.depth a)
+
+(* --- Client --------------------------------------------------------------- *)
+
+(* Replies to pipelined requests that arrive in one read are all kept. *)
+let client_keeps_pipelined_replies () =
+  let socket = tmp "pipe.sock" in
+  rm socket;
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 1;
+  Fun.protect ~finally:(fun () ->
+      Unix.close lfd;
+      rm socket)
+  @@ fun () ->
+  let c = Helpers.check_okd "connect" (Client.connect socket) in
+  let server, _ = Unix.accept lfd in
+  let replies =
+    List.map
+      (fun id -> Protocol.ok_response ~id (Jsonl.Obj []))
+      [ "a"; "b"; "c" ]
+  in
+  Helpers.check_okd "one write"
+    (Frame.write_all server (String.concat "" (List.map Frame.encode replies)));
+  Unix.close server;
+  let ids =
+    List.init 3 (fun _ ->
+        match Helpers.check_okd "recv" (Client.recv ~timeout:5. c) with
+        | Some r -> r.Protocol.r_id
+        | None -> "<eof>")
+  in
+  Alcotest.(check (list string)) "all three, in order" [ "a"; "b"; "c" ] ids;
+  (match Client.recv ~timeout:5. c with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "expected a clean EOF");
+  Client.close c
 
 (* --- Live daemon --------------------------------------------------------- *)
 
@@ -362,6 +502,36 @@ let serve_kill9_restart_serves_warm () =
   Client.close c;
   stop_daemon pid2
 
+(* A refused oversized frame: the client finishes writing it without
+   EPIPE, reads exactly one typed refusal, and a client that then stays
+   silent is closed once read_timeout passes. *)
+let serve_oversize_refusal_lingers () =
+  let socket = tmp "linger.sock" in
+  rm socket;
+  let cfg =
+    {
+      (Daemon.default ~socket) with
+      Daemon.max_frame = 1024;
+      read_timeout = 0.3;
+    }
+  in
+  let pid = start_daemon cfg in
+  Fun.protect ~finally:(fun () -> rm socket) @@ fun () ->
+  let c = connect socket in
+  Helpers.check_okd "whole oversized frame written"
+    (Client.send c (String.make 200_000 'x'));
+  (match Helpers.check_okd "recv" (Client.recv ~timeout:10. c) with
+  | Some r ->
+      Alcotest.(check string) "typed refusal" "serve.frame-too-large"
+        (response_code r)
+  | None -> Alcotest.fail "closed before the refusal");
+  (match Client.recv ~timeout:10. c with
+  | Ok None -> ()
+  | Ok (Some r) -> Alcotest.failf "a second frame: %s" (response_code r)
+  | Error d -> Alcotest.failf "not closed cleanly: %s" (Diag.to_string d));
+  Client.close c;
+  stop_daemon pid
+
 let suite =
   [
     test "frame: round-trips under any chunking" frame_roundtrip_any_split;
@@ -378,4 +548,16 @@ let suite =
       serve_sheds_overload_and_kills_hangs;
     test "daemon: kill -9 restart serves from the warm cache"
       serve_kill9_restart_serves_warm;
+    test "conn: 1000 frames survive partial writes in order"
+      conn_partial_writes_keep_order;
+    test "conn: a peer closing mid-flush leaves it dead, no raise"
+      conn_peer_close_mid_flush;
+    test "conn: oversize header reported, the rest dropped"
+      conn_oversize_header;
+    test "conn: owed output flushes after a peer half-close"
+      conn_half_close_still_flushes;
+    test "daemon: an oversize refusal lingers, then closes"
+      serve_oversize_refusal_lingers;
+    test "client: pipelined replies read together are all kept"
+      client_keeps_pipelined_replies;
   ]
