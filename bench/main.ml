@@ -657,34 +657,8 @@ let exact () =
 (* --- Versus: MFSA against an FDS + binding flow ------------------------ *)
 
 let single_function_cost g (s : Core.Schedule.t) lib =
-  let col =
-    match s.Core.Schedule.col with
-    | Some c -> c
-    | None ->
-        Baselines.Colbind.columns s.Core.Schedule.config g
-          ~start:s.Core.Schedule.start
-  in
-  let by_unit = Hashtbl.create 16 in
-  List.iter
-    (fun nd ->
-      let key = (Dfg.Op.fu_class nd.Dfg.Graph.kind, col.(nd.Dfg.Graph.id)) in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_unit key) in
-      Hashtbl.replace by_unit key (nd.Dfg.Graph.id :: cur))
-    (Dfg.Graph.nodes g);
-  let assignments =
-    Hashtbl.fold
-      (fun (klass, _) ops acc ->
-        let kind = Option.get (Dfg.Op.of_string klass) in
-        (Celllib.Library.single_function lib kind, ops) :: acc)
-      by_unit []
-  in
-  let delay i =
-    Core.Config.delay s.Core.Schedule.config (Dfg.Graph.node g i).Dfg.Graph.kind
-  in
   let dp =
-    ok
-      (Rtl.Datapath.elaborate g ~start:s.Core.Schedule.start ~delay
-         ~cs:s.Core.Schedule.cs ~assignments)
+    ok (Harness.Problem.colbind_datapath lib s.Core.Schedule.config g s)
   in
   (Rtl.Cost.of_datapath lib dp).Rtl.Cost.total
 

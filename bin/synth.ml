@@ -21,6 +21,7 @@
    text or as JSON with --json-errors. *)
 
 open Cmdliner
+module Problem = Harness.Problem
 
 let load_graph = Batch.Manifest.load_graph
 
@@ -35,9 +36,23 @@ let or_die ~json = function Ok v -> v | Error d -> die ~json d
 let or_die_s ~json category ~code r =
   or_die ~json (Result.map_error (Diag.of_msg category ~code) r)
 
-let apply_cse ~json g = function
-  | false -> g
-  | true -> or_die_s ~json Diag.Input ~code:"cse.invalid-graph" (Dfg.Cse.eliminate g)
+(* The input graph, through CSE when asked. *)
+let load_input ~json ~cse spec =
+  let g = or_die ~json (load_graph spec) in
+  if cse then or_die ~json (Problem.cse g) else g
+
+(* Process faults take the calling process down; only a supervised batch
+   worker can contain them. *)
+let reject_process_fault ~json ~cmd ~catcher = function
+  | Some f when Harness.Fault.is_process f ->
+      die ~json
+        (Diag.usage ~code:(cmd ^ ".process-fault")
+           (Printf.sprintf
+              "--inject %s is a process fault: it takes the worker down \
+               instead of corrupting an artefact %s could catch. Use \
+               'synth batch' with a manifest fault to prove containment."
+              (Harness.Fault.to_string f) catcher))
+  | _ -> ()
 
 let json_arg =
   let doc = "Report errors on stderr as JSON objects instead of text." in
@@ -145,36 +160,6 @@ let ports_arg =
   in
   Arg.(value & opt (some int) None & info [ "ports" ] ~docv:"N" ~doc)
 
-let make_library g ~two_cycle ~pipelined =
-  let lib = Celllib.Ncr.for_graph g in
-  if pipelined then Celllib.Ncr.pipelined_multiplier lib
-  else if two_cycle then Celllib.Ncr.two_cycle_multiplier lib
-  else lib
-
-(* Range facts for width-aware commands: the value-width function feeds
-   cost/Verilog/simulation, the node-delay list feeds chaining probes. *)
-let width_support lib g ~widths =
-  if not widths then (None, [])
-  else
-    let facts = Analysis.Ranges.analyze g in
-    ( Some (facts, fun name -> Analysis.Ranges.width_of facts name),
-      Analysis.Ranges.node_delays lib g facts )
-
-let make_config ?ports lib ~clock ~latency =
-  let cfg = { (Core.Config.of_library lib) with Core.Config.mem_ports = ports } in
-  let cfg =
-    match clock with
-    | None -> cfg
-    | Some clk ->
-        { cfg with
-          Core.Config.chaining =
-            Some { Core.Config.prop_delay = lib.Celllib.Library.prop_delay;
-                   clock = clk } }
-  in
-  { cfg with Core.Config.functional_latency = latency }
-
-let effective_cs cfg g cs = if cs <= 0 then Core.Timeframe.min_cs cfg g else cs
-
 let fault_conv =
   let parse s =
     match Harness.Fault.of_string s with
@@ -182,8 +167,8 @@ let fault_conv =
     | None ->
         Error
           (`Msg
-             (s ^ ": unknown fault (corrupt-start, corrupt-col, \
-                   corrupt-trace, collide-mem, skew-delay)"))
+             (Printf.sprintf "%s: unknown fault (%s)" s
+                (String.concat ", " Harness.Fault.names)))
   in
   let print ppf f = Format.pp_print_string ppf (Harness.Fault.to_string f) in
   Arg.conv (parse, print)
@@ -220,15 +205,19 @@ let show_cmd =
 let mfs_cmd =
   let doc = "Move Frame Scheduling (time- or resource-constrained)." in
   let run spec cs two_cycle pipelined latency clock limits ports cse json =
-    let g = or_die ~json (load_graph spec) in
-    let g = apply_cse ~json g cse in
-    let lib = make_library g ~two_cycle ~pipelined in
-    let config = make_config ?ports lib ~clock ~latency in
+    let g = load_input ~json ~cse spec in
+    let p =
+      Problem.make
+        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
+        ?clock ?latency ?ports g
+    in
     let spec_kind =
-      if limits = [] then Core.Mfs.Time { cs = effective_cs config g cs }
+      if limits = [] then Core.Mfs.Time { cs = Problem.cs p cs }
       else Core.Mfs.Resource { limits }
     in
-    let outcome = or_die ~json (Core.Mfs.run ~config g spec_kind) in
+    let outcome =
+      or_die ~json (Core.Mfs.run ~config:p.Problem.config g spec_kind)
+    in
     let s = outcome.Core.Mfs.schedule in
     Format.printf "%a@." Core.Schedule.pp s;
     print_string
@@ -259,26 +248,26 @@ let mfsa_cmd =
   let doc = "Mixed scheduling-allocation: schedule, bind ALUs/REGs/MUXes." in
   let run spec cs two_cycle pipelined latency clock ports style verilog
       simulate cse widths vcd netlist fsm json =
-    let g = or_die ~json (load_graph spec) in
-    let g = apply_cse ~json g cse in
-    let lib = make_library g ~two_cycle ~pipelined in
-    let config = make_config ?ports lib ~clock ~latency in
-    let wsup, node_delay = width_support lib g ~widths in
-    let config = { config with Core.Config.node_delay } in
-    let cs = effective_cs config g cs in
+    let g = load_input ~json ~cse spec in
+    let p =
+      Problem.make
+        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
+        ?clock ?latency ?ports ~widths g
+    in
+    let config = p.Problem.config and lib = p.Problem.library in
+    let widths = Problem.widths p in
+    let cs = Problem.cs p cs in
     let o = or_die ~json (Core.Mfsa.run ~config ~style ~library:lib ~cs g) in
     Format.printf "%a@." Core.Schedule.pp o.Core.Mfsa.schedule;
     Format.printf "%a@." Rtl.Datapath.pp o.Core.Mfsa.datapath;
     Format.printf "%a@." Rtl.Cost.pp o.Core.Mfsa.cost;
-    (match wsup with
+    (match widths with
     | None -> ()
-    | Some (_, w) ->
+    | Some w ->
         Format.printf "width-aware %a@." Rtl.Cost.pp
           (Rtl.Cost.of_datapath ~widths:w lib o.Core.Mfsa.datapath));
     Format.printf "@.";
-    let delay i =
-      Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind
-    in
+    let delay = Problem.delay p in
     let ctrl =
       or_die_s ~json Diag.Internal ~code:"synth.controller"
         (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay)
@@ -300,9 +289,9 @@ let mfsa_cmd =
       (match Sim.Equiv.check_random o.Core.Mfsa.datapath ctrl with
       | Ok () -> print_endline "simulation vs golden model: ok (20 random runs)"
       | Error e -> print_endline ("simulation FAILED: " ^ Diag.to_string e));
-      match wsup with
+      match widths with
       | None -> ()
-      | Some (_, w) -> (
+      | Some w -> (
           match
             Sim.Equiv.check_narrowing ~widths:w o.Core.Mfsa.datapath ctrl
           with
@@ -337,9 +326,7 @@ let mfsa_cmd =
     if verilog then begin
       print_newline ();
       print_string
-        (Rtl.Verilog.emit
-           ?widths:(Option.map snd wsup)
-           o.Core.Mfsa.datapath ctrl)
+        (Rtl.Verilog.emit ?widths o.Core.Mfsa.datapath ctrl)
     end
   in
   Cmd.v (Cmd.info "mfsa" ~doc)
@@ -358,21 +345,22 @@ let csv_arg =
 let compare_cmd =
   let doc = "Compare MFS against list scheduling, FDS and annealing." in
   let run spec cs two_cycle pipelined latency clock limits cse csv json =
-    let g = or_die ~json (load_graph spec) in
-    let g = apply_cse ~json g cse in
-    let lib = make_library g ~two_cycle ~pipelined in
-    let config = make_config lib ~clock ~latency in
-    let cs = effective_cs config g cs in
+    let g = load_input ~json ~cse spec in
+    let p =
+      Problem.make
+        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
+        ?clock ?latency g
+    in
+    let config = p.Problem.config in
+    let cs = Problem.cs p cs in
     (* Width-aware area of each scheduler's design, through the same
        column-packed binding for every row so the column compares
        schedules, not binders. "-" when the binding fails. *)
     let facts = Analysis.Ranges.analyze g in
-    let wfun name = Analysis.Ranges.width_of facts name in
+    let widths name = Analysis.Ranges.width_of facts name in
     let warea s =
-      match Harness.Driver.colbind_datapath lib config g s with
-      | Ok dp ->
-          Printf.sprintf "%.0f"
-            (Rtl.Cost.of_datapath ~widths:wfun lib dp).Rtl.Cost.total
+      match Problem.colbind_cost ~widths p s with
+      | Ok cost -> Printf.sprintf "%.0f" cost.Rtl.Cost.total
       | Error _ -> "-"
     in
     let row name ?(via = "primary") result =
@@ -502,6 +490,7 @@ let fuzz_cmd =
   in
   let run runs seed max_ops inject corpus stage_seconds verbose jobs deadline
       json =
+    reject_process_fault ~json ~cmd:"fuzz" ~catcher:"an invariant" inject;
     let budgets =
       { Harness.Driver.default_budgets with
         Harness.Driver.stage_seconds }
@@ -855,23 +844,16 @@ let lint_cmd =
   in
   let run spec cs two_cycle pipelined latency clock limits ports style inject
       json_out dot_lint cse widths json =
-    (match inject with
-    | Some f when Harness.Fault.is_process f ->
-        die ~json
-          (Diag.usage ~code:"lint.process-fault"
-             (Printf.sprintf
-                "--inject %s is a process fault: it takes the worker down \
-                 instead of corrupting an artefact a static pass could \
-                 catch. Use 'synth batch' with a manifest fault to prove \
-                 containment."
-                (Harness.Fault.to_string f)))
-    | _ -> ());
-    let g = or_die ~json (load_graph spec) in
-    let g = apply_cse ~json g cse in
-    let lib = make_library g ~two_cycle ~pipelined in
-    let config = make_config ?ports lib ~clock ~latency in
+    reject_process_fault ~json ~cmd:"lint" ~catcher:"a static pass" inject;
+    let g = load_input ~json ~cse spec in
+    let p =
+      Problem.make
+        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
+        ?clock ?latency ?ports g
+    in
+    let config = p.Problem.config and lib = p.Problem.library in
     let time_mode = limits = [] in
-    let cs = effective_cs config g cs in
+    let cs = Problem.cs p cs in
     let pre, pre_times =
       if time_mode then Analysis.Runner.pre_timed ~cs config g
       else Analysis.Runner.pre_timed ~limits config g
@@ -912,44 +894,25 @@ let lint_cmd =
       else begin
         let o = or_die ~json (Core.Mfsa.run ~config ~style ~library:lib ~cs g) in
         let dp = o.Core.Mfsa.datapath in
-        let delay i =
-          Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind
-        in
-        let eff_delay = ref delay in
+        let delay = Problem.delay p in
         (* The MFS schedule carries FU columns (the corrupt-col target); the
            MFSA schedule is audited against its own register binding. *)
         let mfs_sched, mfs_trace =
           match Core.Mfs.run ~config g (Core.Mfs.Time { cs }) with
-          | Ok m -> (Some m.Core.Mfs.schedule, Some m.Core.Mfs.trace)
-          | Error _ -> (None, None)
+          | Ok m -> (m.Core.Mfs.schedule, Some m.Core.Mfs.trace)
+          | Error _ -> (o.Core.Mfsa.schedule, None)
         in
-        let sched = ref (Option.value mfs_sched ~default:o.Core.Mfsa.schedule) in
-        let trace = ref mfs_trace in
-        (match inject with
-        | None -> ()
-        | Some Harness.Fault.Corrupt_start -> (
-            match Harness.Fault.corrupt_start !sched with
-            | Some s -> sched := s
-            | None -> ())
-        | Some Harness.Fault.Corrupt_col -> (
-            match Harness.Fault.corrupt_col !sched with
-            | Some s -> sched := s
-            | None -> ())
-        | Some Harness.Fault.Corrupt_trace -> (
-            match Option.map Harness.Fault.corrupt_trace !trace with
-            | Some (Some tr) -> trace := Some tr
-            | _ -> ())
-        | Some Harness.Fault.Collide_mem -> (
-            match Harness.Fault.collide_mem !sched with
-            | Some s -> sched := s
-            | None -> ())
-        | Some Harness.Fault.Skew_delay -> (
-            match Harness.Fault.skew_delay dp ~delay with
-            | Some d -> eff_delay := d
-            | None -> ())
-        | Some (Harness.Fault.Hang | Harness.Fault.Segv) ->
-            (* Rejected above; process faults never reach the passes. *)
-            ());
+        let sched, trace =
+          Option.value ~default:(mfs_sched, mfs_trace)
+            (Option.bind inject (fun f ->
+                 Harness.Fault.corrupt f mfs_sched mfs_trace))
+        in
+        let eff_delay =
+          match inject with
+          | Some Harness.Fault.Skew_delay ->
+              Option.value ~default:delay (Harness.Fault.skew_delay dp ~delay)
+          | _ -> delay
+        in
         let ctrl =
           or_die_s ~json Diag.Internal ~code:"synth.controller"
             (Rtl.Controller.generate dp ~delay)
@@ -958,7 +921,7 @@ let lint_cmd =
            reverse the recorded pass order. *)
         let post_sched =
           timed "post-schedule" (fun () ->
-              Analysis.Runner.post_schedule ?trace:!trace !sched
+              Analysis.Runner.post_schedule ?trace sched
               @ Analysis.Sched_lint.lifetimes ~regs:dp.Rtl.Datapath.regs
                   o.Core.Mfsa.schedule)
         in
@@ -967,7 +930,7 @@ let lint_cmd =
               Analysis.Runner.post_rtl
                 ~share_mutex:config.Core.Config.share_mutex
                 ?latency:config.Core.Config.functional_latency dp ctrl
-                ~delay:!eff_delay)
+                ~delay:eff_delay)
         in
         let fs = post_sched @ post_rtl in
         ( fs,
@@ -1027,8 +990,7 @@ let compile_cmd =
     "Compile a behavioural description (.beh) to the DFG text format."
   in
   let run spec cse json =
-    let g = or_die ~json (load_graph spec) in
-    let g = apply_cse ~json g cse in
+    let g = load_input ~json ~cse spec in
     print_string (Dfg.Parser.to_source g)
   in
   Cmd.v (Cmd.info "compile" ~doc)

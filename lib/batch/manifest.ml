@@ -98,10 +98,8 @@ let parse_line ~file ~line text =
             match Harness.Fault.of_string v with
             | Some f -> go o (Some f) rest
             | None ->
-                fail
-                  "--inject %s: unknown fault (corrupt-start, corrupt-col, \
-                   corrupt-trace, skew-delay, hang, segv)"
-                  v)
+                fail "--inject %s: unknown fault (%s)" v
+                  (String.concat ", " Harness.Fault.names))
         | [ flag ] when String.length flag > 2 && String.sub flag 0 2 = "--" ->
             fail "%s: missing value" flag
         | flag :: _ -> fail "%s: unknown manifest flag" flag

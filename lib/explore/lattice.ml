@@ -99,48 +99,19 @@ let expand (spec : Spec.t) =
     (fun p -> { p with fault = List.assoc_opt p.index spec.Spec.inject })
     !points
 
-(* --- Derived configuration --------------------------------------------- *)
-
-let library_for g = function
-  | Spec.Default -> Celllib.Ncr.for_graph g
-  | Spec.Two_cycle -> Celllib.Ncr.two_cycle_multiplier (Celllib.Ncr.for_graph g)
-  | Spec.Pipelined -> Celllib.Ncr.pipelined_multiplier (Celllib.Ncr.for_graph g)
-
-let config_for lib ~clock =
-  let cfg = Core.Config.of_library lib in
-  match clock with
-  | None -> cfg
-  | Some clk ->
-      { cfg with
-        Core.Config.chaining =
-          Some
-            { Core.Config.prop_delay = lib.Celllib.Library.prop_delay;
-              clock = clk } }
-
-(* Width-aware points run the range analysis up front: the facts feed the
-   chaining probes (node_delay), the cost model and the cache key. *)
-let facts_for ~graph p =
-  if p.widths then Some (Analysis.Ranges.analyze graph) else None
-
-let point_config ~graph lib ~facts ~clock ~ports =
-  let cfg = { (config_for lib ~clock) with Core.Config.mem_ports = ports } in
-  match facts with
-  | None -> cfg
-  | Some f ->
-      { cfg with
-        Core.Config.node_delay = Analysis.Ranges.node_delays lib graph f }
+(* The point's synthesis problem: the cache key digests its config, the
+   evaluation runs on it. *)
+let problem ~graph p =
+  Harness.Problem.make ~library:p.library ?clock:p.clock ?ports:p.ports
+    ~widths:p.widths graph
 
 (* --- Content-addressed keys --------------------------------------------- *)
 
 let options_canonical ~graph p =
-  let facts = facts_for ~graph p in
-  let config =
-    point_config ~graph (library_for graph p.library) ~facts ~clock:p.clock
-      ~ports:p.ports
-  in
   String.concat ";"
     [
-      "config=" ^ Core.Config.canonical config;
+      "config="
+      ^ Core.Config.canonical (problem ~graph p).Harness.Problem.config;
       "constraint=" ^ Spec.constraint_name p.constr;
       "cse=" ^ string_of_bool p.cse;
       "engine=" ^ Spec.engine_name p.engine;
@@ -212,30 +183,17 @@ let metrics_of_json doc =
 let total_units s =
   List.fold_left (fun n (_, k) -> n + k) 0 (Core.Schedule.fu_counts s)
 
-let effective_cs config g cs = if cs <= 0 then Core.Timeframe.min_cs config g else cs
-
-(* MFS and the list baseline do not bind; cost them through the fallback
-   column binding (one single-function ALU per schedule column), the same
-   accounting the harness degradation chain uses. *)
-let colbind_cost ?widths lib config g s =
-  match Harness.Driver.colbind_datapath lib config g s with
-  | Error e -> Error (Diag.of_msg Diag.Internal ~code:"explore.bind" e)
-  | Ok dp -> Ok (s, Rtl.Cost.of_datapath ?widths lib dp)
-
-let evaluate ~graph:g p =
-  (match p.fault with
-  | Some Harness.Fault.Hang -> Harness.Fault.hang ()
-  | Some Harness.Fault.Segv -> Harness.Fault.segv ()
-  | Some _ | None -> ());
+let evaluate ~graph p =
+  Option.iter Harness.Fault.crash p.fault;
   let t0 = Unix.gettimeofday () in
-  let lib = library_for g p.library in
-  let facts = facts_for ~graph:g p in
-  let config = point_config ~graph:g lib ~facts ~clock:p.clock ~ports:p.ports in
-  let widths =
-    Option.map (fun f name -> Analysis.Ranges.width_of f name) facts
-  in
+  let prob = problem ~graph p in
+  let lib = prob.Harness.Problem.library
+  and config = prob.Harness.Problem.config in
+  let widths = Harness.Problem.widths prob in
+  let cs = Harness.Problem.cs prob in
   (* MFSA costs its own binding at the full word; width-aware points
-     re-price the winning datapath at inferred widths. *)
+     re-price the winning datapath at inferred widths. MFS and the list
+     baseline do not bind; they are priced through the column binding. *)
   let recost (o : Core.Mfsa.outcome) =
     match widths with
     | None -> (o.Core.Mfsa.schedule, o.Core.Mfsa.cost)
@@ -243,39 +201,40 @@ let evaluate ~graph:g p =
         ( o.Core.Mfsa.schedule,
           Rtl.Cost.of_datapath ?widths lib o.Core.Mfsa.datapath )
   in
+  let price s =
+    Result.map
+      (fun cost -> (s, cost))
+      (Harness.Problem.colbind_cost ?widths prob s)
+  in
   let outcome =
     match (p.engine, p.constr) with
-    | Spec.Mfsa, Spec.Time cs ->
-        let cs = effective_cs config g cs in
+    | Spec.Mfsa, Spec.Time t ->
         Result.map recost
           (Core.Mfsa.run ~config ~style:p.style ~weights:p.weights ~library:lib
-             ~cs g)
+             ~cs:(cs t) graph)
     | Spec.Mfsa, Spec.Resource limits ->
         Result.map recost
           (Core.Mfsa.run_resource ~config ~style:p.style ~weights:p.weights
-             ~library:lib ~limits g)
+             ~library:lib ~limits graph)
     | Spec.Mfs, constr ->
         let spec_kind =
           match constr with
-          | Spec.Time cs -> Core.Mfs.Time { cs = effective_cs config g cs }
+          | Spec.Time t -> Core.Mfs.Time { cs = cs t }
           | Spec.Resource limits -> Core.Mfs.Resource { limits }
         in
-        Result.bind
-          (Core.Mfs.schedule ~config g spec_kind)
-          (colbind_cost ?widths lib config g)
+        Result.bind (Core.Mfs.schedule ~config graph spec_kind) price
     | Spec.List_sched, constr ->
         let sched =
           match constr with
-          | Spec.Time cs ->
-              Baselines.List_sched.time ~config g ~cs:(effective_cs config g cs)
+          | Spec.Time t -> Baselines.List_sched.time ~config graph ~cs:(cs t)
           | Spec.Resource limits ->
-              Baselines.List_sched.resource ~config g ~limits
+              Baselines.List_sched.resource ~config graph ~limits
         in
         Result.bind
           (Result.map_error
              (Diag.of_msg Diag.Infeasible ~code:"explore.engine")
              sched)
-          (colbind_cost ?widths lib config g)
+          price
   in
   Result.map
     (fun ((s : Core.Schedule.t), (cost : Rtl.Cost.breakdown)) ->

@@ -1,5 +1,6 @@
 type engine = Mfsa | Mfs | List_sched
-type library_variant = Default | Two_cycle | Pipelined
+type library_variant = Harness.Problem.library_variant =
+  | Default | Two_cycle | Pipelined
 type constraint_ = Time of int | Resource of (string * int) list
 
 type t = {

@@ -28,9 +28,9 @@
 
 type engine = Mfsa | Mfs | List_sched
 
-type library_variant = Default | Two_cycle | Pipelined
-(** {!Celllib.Ncr.for_graph} and its two-cycle / pipelined multiplier
-    variants. *)
+type library_variant = Harness.Problem.library_variant =
+  | Default | Two_cycle | Pipelined
+(** The cell-library axis ({!Harness.Problem.make}). *)
 
 type constraint_ = Time of int | Resource of (string * int) list
 (** One point of the merged time/resource axis: a control-step budget

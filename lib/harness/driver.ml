@@ -76,58 +76,7 @@ type outcome = {
    is meant to catch hangs-in-the-making, not cycles. *)
 let now () = Unix.gettimeofday ()
 
-let make_library g ~two_cycle ~pipelined =
-  let lib = Celllib.Ncr.for_graph g in
-  if pipelined then Celllib.Ncr.pipelined_multiplier lib
-  else if two_cycle then Celllib.Ncr.two_cycle_multiplier lib
-  else lib
-
-let make_config lib ~clock ~latency =
-  let cfg = Core.Config.of_library lib in
-  let cfg =
-    match clock with
-    | None -> cfg
-    | Some clk ->
-        {
-          cfg with
-          Core.Config.chaining =
-            Some
-              {
-                Core.Config.prop_delay = lib.Celllib.Library.prop_delay;
-                clock = clk;
-              };
-        }
-  in
-  { cfg with Core.Config.functional_latency = latency }
-
-(* Column-packed binding from a schedule's FU columns, for the MFSA
-   fallback: every (class, column) pair becomes one single-function ALU
-   instance. [fu_class] is injective per kind here, so each group is
-   kind-homogeneous. *)
-let colbind_datapath lib config g s =
-  let col =
-    match s.Core.Schedule.col with
-    | Some c -> c
-    | None -> Baselines.Colbind.columns config g ~start:s.Core.Schedule.start
-  in
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun nd ->
-      let key = (nd.Dfg.Graph.kind, col.(nd.Dfg.Graph.id)) in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-      Hashtbl.replace groups key (nd.Dfg.Graph.id :: prev))
-    (Dfg.Graph.nodes g);
-  let assignments =
-    Hashtbl.fold
-      (fun (kind, _) ids acc ->
-        (Celllib.Library.single_function lib kind, List.rev ids) :: acc)
-      groups []
-  in
-  let delay i =
-    Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind
-  in
-  Rtl.Datapath.elaborate g ~start:s.Core.Schedule.start ~delay
-    ~cs:s.Core.Schedule.cs ~assignments
+let colbind_datapath = Problem.colbind_datapath
 
 let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
   let stages = ref [] in
@@ -178,21 +127,15 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
                    ("CSE failed on a valid graph: " ^ msg));
               g0)
   in
-  let lib = make_library g ~two_cycle:options.two_cycle ~pipelined:options.pipelined in
-  let config = make_config lib ~clock:options.clock ~latency:options.latency in
-  (* Width-aware runs compute the range facts once; they feed the chaining
-     probes (per-node delays) and the narrowing-safety simulation below. *)
-  let facts = if options.widths then Some (Analysis.Ranges.analyze g) else None in
-  let config =
-    match facts with
-    | None -> config
-    | Some f ->
-        { config with
-          Core.Config.node_delay = Analysis.Ranges.node_delays lib g f }
+  let prob =
+    Problem.make
+      ~library:
+        (Problem.library_of_flags ~two_cycle:options.two_cycle
+           ~pipelined:options.pipelined)
+      ?clock:options.clock ?latency:options.latency ~widths:options.widths g
   in
-  let cs =
-    if options.cs <= 0 then Core.Timeframe.min_cs config g else options.cs
-  in
+  let lib = prob.Problem.library and config = prob.Problem.config in
+  let cs = Problem.cs prob options.cs in
   (* --- Static pre-gate: DFG lint + feasibility bounds. An error finding on
      the input stops the run before any scheduler time is spent; in
      resource-constrained mode no step budget binds, so only the unit caps
@@ -255,53 +198,28 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
                else "MFS degraded to list scheduling + column packing");
             (s, None, Fallback "list_sched+colbind")
       in
-      (* --- Inject (optional): corrupt the artifact the fault targets. *)
-      let sched = ref pristine in
-      let trace = ref trace in
-      timed "inject" (fun () ->
-          match fault with
-          | None -> ()
-          | Some Fault.Corrupt_start -> (
-              match Fault.corrupt_start !sched with
-              | Some s ->
-                  sched := s;
-                  fault_applied := true
-              | None -> ())
-          | Some Fault.Corrupt_col -> (
-              match Fault.corrupt_col !sched with
-              | Some s ->
-                  sched := s;
-                  fault_applied := true
-              | None -> ())
-          | Some Fault.Corrupt_trace -> (
-              match Option.map Fault.corrupt_trace !trace with
-              | Some (Some tr) ->
-                  trace := Some tr;
-                  fault_applied := true
-              | _ -> ())
-          | Some Fault.Collide_mem -> (
-              match Fault.collide_mem !sched with
-              | Some s ->
-                  sched := s;
-                  fault_applied := true
-              | None -> ())
-          | Some Fault.Skew_delay -> ()
-          | Some Fault.Hang ->
-              (* A process fault: the pipeline never returns from here.
-                 Only the batch pool's wall-clock SIGKILL ends the run —
-                 the per-stage budget below is advisory and would merely
-                 have recorded the overrun post-hoc. *)
-              fault_applied := true;
-              Fault.hang ()
-          | Some Fault.Segv ->
-              fault_applied := true;
-              Fault.segv ());
+      (* --- Inject (optional): corrupt the artifact the fault targets. A
+         process fault never returns from here: only the batch pool's
+         wall-clock SIGKILL ends the run — the per-stage budget below is
+         advisory and would merely have recorded the overrun post-hoc. *)
+      let sched, trace =
+        timed "inject" (fun () ->
+            match fault with
+            | None -> (pristine, trace)
+            | Some f -> (
+                Fault.crash f;
+                match Fault.corrupt f pristine trace with
+                | Some corrupted ->
+                    fault_applied := true;
+                    corrupted
+                | None -> (pristine, trace)))
+      in
       (* --- Invariants: schedule validity and Liapunov stability. *)
       timed "invariants" (fun () ->
-          (match Core.Schedule.check_diag !sched with
+          (match Core.Schedule.check_diag sched with
           | Ok () -> ()
           | Error d -> violate d);
-          match !trace with
+          match trace with
           | None -> ()
           | Some tr ->
               if not (Core.Liapunov.Trace.non_increasing tr) then
@@ -319,7 +237,7 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
         else Core.Mfsa.Unrestricted
       in
       let baseline_bind () =
-        match colbind_datapath lib config g pristine with
+        match Problem.colbind_datapath lib config g pristine with
         | Ok dp -> `Fallback dp
         | Error msg ->
             `Stop
@@ -341,9 +259,9 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
       | `Stop d ->
           if Diag.is_bug d then begin
             violate d;
-            finish ~schedule:!sched ~sched_via ()
+            finish ~schedule:sched ~sched_via ()
           end
-          else finish ~schedule:!sched ~sched_via ~stopped:d ()
+          else finish ~schedule:sched ~sched_via ~stopped:d ()
       | (`Primary _ | `Fallback _) as b ->
           let dp, bind_via =
             match b with
@@ -356,9 +274,7 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
                      "MFSA degraded to column-packed single-function binding");
                 (dp, Fallback "colbind")
           in
-          let delay i =
-            Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind
-          in
+          let delay = Problem.delay prob in
           (* --- Datapath checks, with the skew fault applied to the delay
              model the checker (and the static RTL lint below) sees. *)
           let eff_delay =
@@ -396,7 +312,7 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
              dataflow audits; error findings count as violations. *)
           timed "lint-post" (fun () ->
               let fs =
-                Analysis.Runner.post_schedule ?trace:!trace !sched
+                Analysis.Runner.post_schedule ?trace sched
                 @
                 match ctrl with
                 | Some c ->
@@ -420,15 +336,14 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
                   | Error d -> violate d);
               (* --- Narrowing safety: the width-truncated machine must stay
                  bit-exact against the full-width golden model. *)
-              match facts with
+              match Problem.widths prob with
               | None -> ()
-              | Some f ->
+              | Some widths ->
                   timed "narrowing" (fun () ->
                       match
                         Sim.Equiv.check_narrowing ~runs:budgets.sim_runs
-                          ~widths:(fun n -> Analysis.Ranges.width_of f n)
-                          dp ctrl
+                          ~widths dp ctrl
                       with
                       | Ok () -> ()
                       | Error d -> violate d));
-          finish ~schedule:!sched ~sched_via ~bind_via ()
+          finish ~schedule:sched ~sched_via ~bind_via ()

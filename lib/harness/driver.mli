@@ -87,5 +87,5 @@ val run :
 val colbind_datapath :
   Celllib.Library.t -> Core.Config.t -> Dfg.Graph.t -> Core.Schedule.t ->
   (Rtl.Datapath.t, string) result
-(** The MFSA fallback binding, exposed for tests: every (class, column)
-    pair of the schedule becomes one single-function ALU instance. *)
+(** {!Problem.colbind_datapath}, kept under this name for the benchmark
+    harness that calls it. *)

@@ -23,15 +23,12 @@ let to_string = function
   | Hang -> "hang"
   | Segv -> "segv"
 
-let of_string = function
-  | "corrupt-start" -> Some Corrupt_start
-  | "corrupt-col" -> Some Corrupt_col
-  | "corrupt-trace" -> Some Corrupt_trace
-  | "collide-mem" -> Some Collide_mem
-  | "skew-delay" -> Some Skew_delay
-  | "hang" -> Some Hang
-  | "segv" -> Some Segv
-  | _ -> None
+let every =
+  [ Corrupt_start; Corrupt_col; Corrupt_trace; Collide_mem; Skew_delay; Hang;
+    Segv ]
+
+let names = List.map to_string every
+let of_string s = List.find_opt (fun f -> String.equal (to_string f) s) every
 
 let hang () =
   let rec spin n = spin (Sys.opaque_identity (n + 1)) in
@@ -43,6 +40,8 @@ let segv () =
      the signal somehow be swallowed, die loudly anyway. *)
   Unix.kill (Unix.getpid ()) Sys.sigabrt;
   assert false
+
+let crash = function Hang -> hang () | Segv -> segv () | _ -> ()
 
 let corrupt_start s =
   let n = Dfg.Graph.num_nodes s.Core.Schedule.graph in
@@ -159,3 +158,12 @@ let skew_delay dp ~delay =
   match !victim with
   | None -> None
   | Some v -> Some (fun i -> delay i + if i = v then 1 else 0)
+
+let corrupt f sched trace =
+  match f with
+  | Corrupt_start -> Option.map (fun s -> (s, trace)) (corrupt_start sched)
+  | Corrupt_col -> Option.map (fun s -> (s, trace)) (corrupt_col sched)
+  | Collide_mem -> Option.map (fun s -> (s, trace)) (collide_mem sched)
+  | Corrupt_trace ->
+      Option.map (fun tr -> (sched, Some tr)) (Option.bind trace corrupt_trace)
+  | Skew_delay | Hang | Segv -> None

@@ -46,6 +46,10 @@ val is_process : t -> bool
 val to_string : t -> string
 val of_string : string -> t option
 
+val names : string list
+(** Every fault's {!to_string}, in declaration order: the list every
+    "unknown fault" message quotes. *)
+
 val corrupt_start : Core.Schedule.t -> Core.Schedule.t option
 val corrupt_col : Core.Schedule.t -> Core.Schedule.t option
 val corrupt_trace : Core.Liapunov.Trace.t -> Core.Liapunov.Trace.t option
@@ -57,6 +61,19 @@ val skew_delay :
   Rtl.Datapath.t -> delay:(int -> int) -> (int -> int) option
 (** A skewed delay function to hand {!Rtl.Check.datapath}; [None] when no
     ALU has back-to-back occupants to overlap. *)
+
+val corrupt :
+  t -> Core.Schedule.t -> Core.Liapunov.Trace.t option ->
+  (Core.Schedule.t * Core.Liapunov.Trace.t option) option
+(** Plant an artifact fault in a schedule and its Liapunov trace: the
+    corrupted pair, or [None] when the fault does not apply to them.
+    [Skew_delay] targets the datapath's delay model ({!skew_delay}) and
+    the process faults target the process ({!crash}), so both are
+    [None] here. *)
+
+val crash : t -> unit
+(** Never returns for a process fault ({!hang}, {!segv}); returns at
+    once for an artifact fault. *)
 
 val hang : unit -> 'a
 (** Never returns: a CPU-burning loop the compiler cannot elide. *)

@@ -106,12 +106,7 @@ let resolve_graph st source ~cse =
         | P.Named n -> Batch.Manifest.load_graph n
       in
       let parsed =
-        if cse then
-          Result.bind parsed (fun g ->
-              Result.map_error
-                (Diag.of_msg Diag.Input ~code:"cse.invalid-graph")
-                (Dfg.Cse.eliminate g))
-        else parsed
+        if cse then Result.bind parsed Harness.Problem.cse else parsed
       in
       Result.map
         (fun g ->
@@ -196,22 +191,7 @@ let handle_lint st conn ~id source clock =
   match resolve_graph st source ~cse:false with
   | Error d -> respond_error st conn (P.error_response ~id d)
   | Ok graph ->
-      let lib = Celllib.Ncr.for_graph graph in
-      let config = Core.Config.of_library lib in
-      let config =
-        match clock with
-        | None -> config
-        | Some clk ->
-            {
-              config with
-              Core.Config.chaining =
-                Some
-                  {
-                    Core.Config.prop_delay = lib.Celllib.Library.prop_delay;
-                    clock = clk;
-                  };
-            }
-      in
+      let config = (Harness.Problem.make ?clock graph).Harness.Problem.config in
       let findings = Analysis.Dfg_lint.check ~config graph in
       let errors = Analysis.Finding.errors findings in
       let warnings = Analysis.Finding.warnings findings in
@@ -317,25 +297,10 @@ let handle_request st conn (env : P.envelope) =
               ~workers:[]
               ~cache:(Cache.stats st.cache)))
   | P.Lint { source; clock } -> handle_lint st conn ~id source clock
-  | P.Schedule { source; opts } -> (
-      match resolve_graph st source ~cse:opts.P.cse with
+  | P.Schedule { source; point } -> (
+      match resolve_graph st source ~cse:point.Lattice.cse with
       | Error d -> respond_error st conn (P.error_response ~id d)
       | Ok graph -> (
-          let point =
-            {
-              Lattice.index = 0;
-              engine = opts.P.engine;
-              style = opts.P.style;
-              weights = opts.P.weights;
-              constr = opts.P.constr;
-              library = opts.P.library;
-              widths = false;
-              ports = None;
-              clock = opts.P.clock;
-              cse = opts.P.cse;
-              fault = opts.P.fault;
-            }
-          in
           let key = Lattice.key ~graph point in
           match Cache.find st.cache key with
           | Some entry ->

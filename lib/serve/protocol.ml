@@ -3,31 +3,8 @@ module Spec = Explore.Spec
 
 type graph_source = Inline of string | Named of string
 
-type sched_options = {
-  engine : Spec.engine;
-  style : Core.Mfsa.style;
-  weights : Core.Mfsa.weights;
-  constr : Spec.constraint_;
-  library : Spec.library_variant;
-  clock : float option;
-  cse : bool;
-  fault : Harness.Fault.t option;
-}
-
-let default_options =
-  {
-    engine = Spec.Mfsa;
-    style = Core.Mfsa.Unrestricted;
-    weights = Core.Mfsa.equal_weights;
-    constr = Spec.Time 0;
-    library = Spec.Default;
-    clock = None;
-    cse = false;
-    fault = None;
-  }
-
 type request =
-  | Schedule of { source : graph_source; opts : sched_options }
+  | Schedule of { source : graph_source; point : Explore.Lattice.point }
   | Reschedule of {
       base : graph_source;
       edited : graph_source;
@@ -95,10 +72,10 @@ let parse_constr doc =
   | Some cs, None -> Error (badf "negative \"cs\" %d" cs)
   | None, None -> Ok (Spec.Time 0)
 
-let parse_options doc =
+let parse_point doc =
   let* engine =
     match Jsonl.str "engine" doc with
-    | None -> Ok default_options.engine
+    | None -> Ok Spec.Mfsa
     | Some s -> (
         match Spec.engine_of_name s with
         | Some e -> Ok e
@@ -106,14 +83,14 @@ let parse_options doc =
   in
   let* style =
     match Jsonl.int "style" doc with
-    | None -> Ok default_options.style
+    | None -> Ok Core.Mfsa.Unrestricted
     | Some 1 -> Ok Core.Mfsa.Unrestricted
     | Some 2 -> Ok Core.Mfsa.No_self_loop
     | Some n -> Error (badf "unknown style %d (want 1 or 2)" n)
   in
   let* weights =
     match Jsonl.str "weights" doc with
-    | None -> Ok default_options.weights
+    | None -> Ok Core.Mfsa.equal_weights
     | Some s -> (
         match Spec.weights_of_name s with
         | Some w -> Ok w
@@ -122,7 +99,7 @@ let parse_options doc =
   let* constr = parse_constr doc in
   let* library =
     match Jsonl.str "library" doc with
-    | None -> Ok default_options.library
+    | None -> Ok Spec.Default
     | Some s -> (
         match Spec.library_of_name s with
         | Some l -> Ok l
@@ -152,7 +129,20 @@ let parse_options doc =
             Error (badf "inject %S: only process faults (hang/segv) here" s)
         | None -> Error (badf "unknown fault %S" s))
   in
-  Ok { engine; style; weights; constr; library; clock; cse; fault }
+  Ok
+    {
+      Explore.Lattice.index = 0;
+      engine;
+      style;
+      weights;
+      constr;
+      library;
+      widths = false;
+      ports = None;
+      clock;
+      cse;
+      fault;
+    }
 
 let parse_deltas doc =
   match Jsonl.member "deltas" doc with
@@ -191,8 +181,8 @@ let parse_request_doc doc =
     | Some "stats" -> Ok Stats
     | Some "schedule" ->
         let* source = graph_source doc in
-        let* opts = parse_options doc in
-        Ok (Schedule { source; opts })
+        let* point = parse_point doc in
+        Ok (Schedule { source; point })
     | Some "lint" ->
         let* source = graph_source doc in
         let* clock =

@@ -28,23 +28,12 @@ type graph_source =
   | Inline of string  (** DFG source text. *)
   | Named of string  (** File path or builtin example name. *)
 
-type sched_options = {
-  engine : Explore.Spec.engine;
-  style : Core.Mfsa.style;
-  weights : Core.Mfsa.weights;
-  constr : Explore.Spec.constraint_;
-  library : Explore.Spec.library_variant;
-  clock : float option;
-  cse : bool;
-  fault : Harness.Fault.t option;
-}
-
-val default_options : sched_options
-(** MFSA, style 1, equal weights, critical-path time budget, default
-    library — the same defaults as a bare [synth mfsa] run. *)
-
 type request =
-  | Schedule of { source : graph_source; opts : sched_options }
+  | Schedule of { source : graph_source; point : Explore.Lattice.point }
+      (** The request as a lattice point, so it shares its cache key with
+          [synth explore]. Omitted fields take the defaults of a bare
+          [synth mfsa] run: MFSA, style 1, equal weights, critical-path
+          time budget, default library, full widths, declared ports. *)
   | Reschedule of {
       base : graph_source;
       edited : graph_source;

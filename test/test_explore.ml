@@ -209,6 +209,40 @@ let keys_content_addressed () =
         (Lattice.key ~graph:g { p1 with Lattice.index = 99 })
   | l -> Alcotest.failf "expected 2 points, got %d" (List.length l)
 
+(* A banked graph with bounded inputs, so the library, widths, ports and
+   clock axes all reach the derived configuration. *)
+let pinned_graph =
+  "input u i0 i1\n\
+   range u 0 255\n\
+   range i0 0 0\n\
+   range i1 1 1\n\
+   array S 2 bank SB\n\
+   mem SB ports 2\n\
+   s1 = ld S i0\n\
+   s2 = ld S i1\n\
+   m = * s1 u\n\
+   y = + m s2\n"
+
+(* Literal digests: a changed key silently cold-starts every explore and
+   serve cache, so any change to them must be deliberate. *)
+let keys_pinned_off_default_axes () =
+  let graph = Helpers.check_okd "parse" (Dfg.Parser.parse pinned_graph) in
+  List.iter
+    (fun (axis, expected) ->
+      match Lattice.expand (spec_of_text ("graph g\n" ^ axis ^ "\n")) with
+      | [ p ] -> Alcotest.(check string) axis expected (Lattice.key ~graph p)
+      | l -> Alcotest.failf "%s: expected 1 point, got %d" axis (List.length l))
+    [
+      ("library two-cycle", "43a5940b9cd17c6ae8d16459feeb8a08");
+      ("library pipelined", "26c5d46a395d4f2cbfa8301921dd5989");
+      ("widths on", "bb5d804471c46a8f4fe5b6008ba70aa3");
+      ("ports 1", "4366dd3dec61c77ec5b4b110730e4c86");
+      ("clock 100", "e7dfa021fce8421ba7fb26b11a8cc1b1");
+      ("limits *=1,+=1", "9734d9f7a6e7591f7b5f475fc88eb47a");
+      ("engine mfs", "5258ddce31fcf1746dbc8a8d10097723");
+      ("engine list", "01cbb36c0b9eba889018bfba45487584");
+    ]
+
 let evaluate_solves_diffeq () =
   let g = Workloads.Classic.diffeq () in
   let s = spec_of_text "graph diffeq\ncs 4\n" in
@@ -608,6 +642,7 @@ let suite =
     test "lattice: non-MFSA points deduplicate" expand_dedups_non_mfsa;
     test "lattice: inject attaches by index" expand_attaches_faults;
     test "lattice: keys are content-addressed" keys_content_addressed;
+    test "lattice: keys pinned off the default axes" keys_pinned_off_default_axes;
     test "lattice: evaluate solves diffeq" evaluate_solves_diffeq;
     test "lattice: evaluate reports infeasibility" evaluate_reports_infeasible;
     test "cache: entries round-trip" entry_roundtrip;

@@ -39,7 +39,7 @@ let colbind_fallback_is_valid () =
       let s = Helpers.check_ok (name ^ " list") (Baselines.List_sched.time g ~cs) in
       let dp =
         Helpers.check_ok (name ^ " colbind")
-          (Harness.Driver.colbind_datapath lib config g s)
+          (Harness.Problem.colbind_datapath lib config g s)
       in
       let delay i =
         Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind

@@ -293,6 +293,51 @@ let store_then_load_through_machine () =
   Alcotest.(check (option int)) "y" (Some 7)
     (List.assoc_opt "y" r.Sim.Machine.values)
 
+(* --- Column binding of banked schedules -------------------------------- *)
+
+(* MFS and list schedules are priced through the column binding; their
+   memory accesses must go to bank ports, never into an ALU group. *)
+let colbind_binds_banked_examples () =
+  List.iter
+    (fun file ->
+      let g =
+        Helpers.check_okd "parse"
+          (Dfg.Parser.parse_file (Test_data_files.data file))
+      in
+      let p = Harness.Problem.make g in
+      let config = p.Harness.Problem.config in
+      let cs = Harness.Problem.cs p 0 in
+      let delay = Harness.Problem.delay p in
+      List.iter
+        (fun (engine, s) ->
+          let what = file ^ " " ^ engine in
+          let dp =
+            Helpers.check_ok what
+              (Harness.Problem.colbind_datapath p.Harness.Problem.library
+                 config g s)
+          in
+          (match Rtl.Check.datapath dp ~delay with
+          | Ok () -> ()
+          | Error ds ->
+              Alcotest.failf "%s: %s" what
+                (String.concat "; " (List.map Diag.to_string ds)));
+          let ctrl =
+            Helpers.check_ok what (Rtl.Controller.generate dp ~delay)
+          in
+          match Sim.Equiv.check_random ~runs:5 dp ctrl with
+          | Ok () -> ()
+          | Error d -> Alcotest.failf "%s: %s" what (Diag.to_string d))
+        [
+          ( "mfs",
+            (Helpers.check_okd "mfs"
+               (Core.Mfs.run ~config g (Core.Mfs.Time { cs })))
+              .Core.Mfs.schedule );
+          ( "list",
+            Helpers.check_ok "list" (Baselines.List_sched.time ~config g ~cs)
+          );
+        ])
+    [ "fir4mem.dfg"; "ewfmem.dfg" ]
+
 (* --- Explore ports axis ------------------------------------------------ *)
 
 let explore_ports_axis () =
@@ -326,5 +371,7 @@ let suite =
     test "fault: collide-mem needs mem ops" collide_mem_not_applicable;
     test "sim: banked datapath equivalent to golden model" sim_equivalence_on_arrays;
     test "sim: store/load round-trip through the machine" store_then_load_through_machine;
+    test "colbind: banked MFS/list schedules bind and simulate"
+      colbind_binds_banked_examples;
     test "explore: ports axis expands distinct points" explore_ports_axis;
   ]
