@@ -632,7 +632,7 @@ let batch_cmd =
                ?journal ~resume ?heap_words ~log ~deadline pool_jobs)
       | Some hosts ->
           let endpoints =
-            or_die ~json (Cluster.Endpoint.parse_list hosts)
+            or_die ~json (Serve.Endpoint.parse_list hosts)
           in
           let pairs =
             List.mapi
@@ -769,7 +769,7 @@ let explore_cmd =
       | None -> None
       | Some hosts ->
           let endpoints =
-            or_die ~json (Cluster.Endpoint.parse_list hosts)
+            or_die ~json (Serve.Endpoint.parse_list hosts)
           in
           let config =
             {
@@ -1241,7 +1241,7 @@ let worker_cmd =
   in
   let run endpoint jobs name heap_mb heartbeat max_reconnects libraries
       verbose json =
-    let endpoint = or_die ~json (Cluster.Endpoint.parse endpoint) in
+    let endpoint = or_die ~json (Serve.Endpoint.parse endpoint) in
     let name =
       match name with
       | Some n -> n

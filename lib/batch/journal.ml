@@ -37,69 +37,14 @@ let record_of_json v =
         (Verdict.of_fields v)
   | _ -> Error "record missing id/seed/descr/attempt/final/seconds"
 
-type writer = { fd : Unix.file_descr }
+type writer = Jsonl.writer
 
-let open_writer path =
-  { fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_APPEND ] 0o644 }
-
-(* One write(2) per record: O_APPEND makes concurrent appends land whole,
-   and a SIGKILL cannot tear a write that already entered the kernel — the
-   worst case is a missing trailing newline from a crash between records,
-   which load drops. EINTR restarts the write; any other Unix error (EPIPE
-   on a redirected journal, ENOSPC, EBADF) becomes a typed diagnostic so a
-   vanished sink never raises through a daemon's supervision loop. *)
-let append w r =
-  let line = record_to_json r ^ "\n" in
-  let b = Bytes.of_string line in
-  let rec write_all off =
-    if off < Bytes.length b then
-      match Unix.write w.fd b off (Bytes.length b - off) with
-      | n -> write_all (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-  in
-  match
-    write_all 0;
-    Unix.fsync w.fd
-  with
-  | () -> Ok ()
-  | exception Unix.Unix_error (err, _, _) ->
-      Error
-        (Diag.input ~code:"batch.journal-write"
-           (Printf.sprintf "journal append failed: %s"
-              (Unix.error_message err)))
-
-let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
+let open_writer = Jsonl.open_writer ~code:"batch.journal-write"
+let append w r = Jsonl.append w (record_to_json r)
+let close = Jsonl.close
 
 let load path =
-  if not (Sys.file_exists path) then Ok []
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    let lines = String.split_on_char '\n' body in
-    (* A well-formed journal ends in '\n', so the split yields a trailing
-       "" we drop; a torn final line has no terminator and is dropped too
-       (its record never completed). *)
-    let rec whole = function
-      | [] | [ _ ] -> []
-      | l :: rest -> l :: whole rest
-    in
-    let lines = whole lines in
-    let rec parse acc lineno = function
-      | [] -> Ok (List.rev acc)
-      | l :: rest when String.trim l = "" -> parse acc (lineno + 1) rest
-      | l :: rest -> (
-          match Result.bind (Jsonl.parse l) record_of_json with
-          | Ok r -> parse (r :: acc) (lineno + 1) rest
-          | Error msg ->
-              Error
-                (Diag.input ~code:"batch.journal" ~file:path
-                   ~span:(Diag.point ~line:lineno ~col:1)
-                   (Printf.sprintf "corrupt journal record: %s" msg)))
-    in
-    parse [] 1 lines
-  end
+  Jsonl.load ~code:"batch.journal" ~what:"journal record" path record_of_json
 
 let finals records =
   let tbl = Hashtbl.create 64 in

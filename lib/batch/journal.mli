@@ -1,11 +1,12 @@
-(** Crash-safe JSONL journal of batch job verdicts.
+(** Crash-safe JSONL journal of batch job verdicts: a {!Jsonl} store.
 
     One line per completed attempt, appended with a single [write(2)] and
     fsynced before {!append} returns, so a SIGKILLed (or power-cut) batch
     leaves a prefix of whole records plus at most one torn trailing line —
-    which {!load} tolerates and drops. {!Pool.run} with [~resume:true]
-    reloads the journal and skips every job whose final verdict is already
-    recorded, making an interrupted batch deterministically resumable. *)
+    which {!load} drops and {!open_writer} cuts off. {!Pool.run} with
+    [~resume:true] reloads the journal and skips every job whose final
+    verdict is already recorded, making an interrupted batch
+    deterministically resumable. *)
 
 type record = {
   id : string;
@@ -27,20 +28,20 @@ val record_of_json : Jsonl.t -> (record, string) result
 
 type writer
 
-val open_writer : string -> writer
-(** Open (create) for append. *)
+val open_writer : string -> (writer, Diag.t) result
+(** {!Jsonl.open_writer}: a path that cannot be opened for appending is a
+    [batch.journal-write] input error. *)
 
 val append : writer -> record -> (unit, Diag.t) result
-(** One line, one [write] (EINTR-restarted), then fsync. A failed write
-    or fsync is a typed [batch.journal-write] error — never an uncaught
-    [Unix_error] — so long-lived supervisors can log and keep running. *)
+(** {!Jsonl.append}: failures are typed [batch.journal-write] errors, so
+    long-lived supervisors can log and keep running. *)
 
 val close : writer -> unit
 
 val load : string -> (record list, Diag.t) result
 (** Records in file order. A missing file is an empty journal; an
-    unparsable non-trailing line is a [batch.journal] input error; a torn
-    trailing line (no newline) is silently dropped. *)
+    unreadable path or an unparsable non-trailing line is a
+    [batch.journal] input error; a torn trailing line is dropped. *)
 
 val finals : record list -> (string, record) Hashtbl.t
 (** Last final record per job id. *)

@@ -227,3 +227,119 @@ let to_float = function
 let str key v = Option.bind (member key v) to_str
 let int key v = Option.bind (member key v) to_int
 let float key v = Option.bind (member key v) to_float
+
+(* --- The store --------------------------------------------------------- *)
+
+(* One write(2) per call, so an EINTR never hides a partial write. *)
+let write_all fd s =
+  let rec go off =
+    if off >= String.length s then Ok ()
+    else
+      match Unix.single_write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | exception Unix.Unix_error (err, _, _) -> Error err
+  in
+  go 0
+
+type writer = { fd : Unix.file_descr; path : string; code : string }
+
+(* Run [f] under an exclusive lock on the whole file. lockf covers the
+   file from the current offset on, so every holder seeks to 0 first;
+   O_APPEND writes still land at the end. A pipe or a device (--journal
+   /dev/stdout) cannot be locked, and has no size to cut: [f] just runs. *)
+let locked fd f =
+  if (Unix.fstat fd).Unix.st_kind <> Unix.S_REG then f ()
+  else begin
+    let rec lock () =
+      try Unix.lockf fd Unix.F_LOCK 0
+      with Unix.Unix_error (Unix.EINTR, _, _) -> lock ()
+    in
+    ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+    lock ();
+    Fun.protect f ~finally:(fun () ->
+        try
+          ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+          Unix.lockf fd Unix.F_ULOCK 0
+        with Unix.Unix_error _ -> ())
+  end
+
+(* Offset just past the last '\n' before [stop], or 0: the end of the
+   whole records. *)
+let rec whole_prefix fd stop =
+  if stop = 0 then 0
+  else begin
+    let start = max 0 (stop - 4096) in
+    let buf = Bytes.create (stop - start) in
+    ignore (Unix.lseek fd start Unix.SEEK_SET);
+    let n = Unix.read fd buf 0 (stop - start) in
+    match Bytes.rindex_from_opt buf (n - 1) '\n' with
+    | Some i -> start + i + 1
+    | None -> whole_prefix fd start
+  end
+
+(* A torn last line left where it is would prefix the next record and
+   turn into a corrupt middle line. Cut it under the lock, so a record
+   another process is appending right now is never mistaken for one. *)
+let open_writer ~code path =
+  match
+    let fd = Unix.openfile path [ Unix.O_RDWR; O_CREAT; O_APPEND ] 0o644 in
+    try
+      locked fd (fun () ->
+          let size = (Unix.fstat fd).Unix.st_size in
+          let keep = whole_prefix fd size in
+          if keep < size then Unix.ftruncate fd keep);
+      fd
+    with e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+  with
+  | fd -> Ok { fd; path; code }
+  | exception Unix.Unix_error (err, _, _) ->
+      Error
+        (Diag.input ~code ~file:path
+           ("cannot open for appending: " ^ Unix.error_message err))
+
+(* One line, one write: a SIGKILL cannot tear a write that already
+   entered the kernel, so the worst case is a torn last line from a crash
+   between records. A vanished sink (EPIPE, ENOSPC, EBADF) is a typed
+   error, so it never raises through a supervision loop. *)
+let append w line =
+  let write () =
+    Result.map (fun () -> Unix.fsync w.fd) (write_all w.fd (line ^ "\n"))
+  in
+  match locked w.fd write with
+  | Ok () -> Ok ()
+  | Error err | exception Unix.Unix_error (err, _, _) ->
+      Error
+        (Diag.input ~code:w.code ~file:w.path
+           ("append failed: " ^ Unix.error_message err))
+
+let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
+
+let load ~code ~what path decode =
+  match
+    if not (Sys.file_exists path) then ""
+    else if Sys.is_directory path then raise (Sys_error "is a directory")
+    else In_channel.with_open_bin path In_channel.input_all
+  with
+  | exception Sys_error msg ->
+      Error (Diag.input ~code ~file:path ("cannot read: " ^ msg))
+  | body ->
+      (* A whole store ends in '\n', so the split ends in a "" we drop; a
+         torn last line has no terminator and is dropped too (its record
+         never completed). *)
+      let rec decode_lines acc lineno = function
+        | [] | [ _ ] -> Ok (List.rev acc)
+        | l :: rest when String.trim l = "" ->
+            decode_lines acc (lineno + 1) rest
+        | l :: rest -> (
+            match Result.bind (parse l) decode with
+            | Ok r -> decode_lines (r :: acc) (lineno + 1) rest
+            | Error msg ->
+                Error
+                  (Diag.input ~code ~file:path
+                     ~span:(Diag.point ~line:lineno ~col:1)
+                     (Printf.sprintf "corrupt %s: %s" what msg)))
+      in
+      decode_lines [] 1 (String.split_on_char '\n' body)

@@ -1,9 +1,10 @@
-(** Minimal JSON values for the batch journal.
+(** Minimal JSON values, and the JSONL store behind the batch journal
+    and the explore cache.
 
-    The journal is JSON Lines: one object per record, written with a
-    single [write] and fsynced, parsed back on [--resume]. This module
-    is deliberately tiny — just enough JSON to round-trip our own
-    records without an external dependency. Strings are escaped with
+    A store is JSON Lines: one object per record, written with a single
+    [write] and fsynced, parsed back on [--resume]. This module is
+    deliberately tiny — just enough JSON to round-trip our own records
+    without an external dependency. Strings are escaped with
     {!Diag.json_string}; numbers are OCaml [int]s and [float]s. *)
 
 type t =
@@ -47,3 +48,35 @@ val str : string -> t -> string option
 
 val int : string -> t -> int option
 val float : string -> t -> float option
+
+(** {2 The store}
+
+    One record per line, appended whole and fsynced. A crash can leave
+    only a torn last line: {!load} drops it and {!open_writer} cuts it
+    off, so the next record starts on a line of its own. Appends and the
+    cut hold an exclusive [lockf] on the file, so several processes may
+    append to one store. *)
+
+val write_all : Unix.file_descr -> string -> (unit, Unix.error) result
+(** Write every byte, one [write(2)] at a time, restarting on EINTR. *)
+
+type writer
+
+val open_writer : code:string -> string -> (writer, Diag.t) result
+(** Open (create) for appending and cut a torn last line. A path that
+    cannot be opened is a [code] input error. [code] also types the
+    failures of {!append}. *)
+
+val append : writer -> string -> (unit, Diag.t) result
+(** Append one line (the newline is added) and fsync. A failed write or
+    fsync is a typed error, never an uncaught [Unix_error]. *)
+
+val close : writer -> unit
+
+val load :
+  code:string -> what:string -> string -> (t -> ('a, string) result) ->
+  ('a list, Diag.t) result
+(** Decode every whole line, in file order. A missing file is an empty
+    store; a torn last line is dropped. A path that cannot be read is a
+    [code] input error without a span; a line that does not decode is a
+    [code] input error at that line ("corrupt [what]: ..."). *)

@@ -29,16 +29,6 @@ type outcome = {
 
 (* --- Worker side ------------------------------------------------------- *)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off < Bytes.length b then
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
 (* The worker: run the attempt's closure, serialize the result onto the
    pipe, _exit without flushing the parent's buffered channels. Crashes,
    hangs and heap blowups simply happen — classification is the parent's
@@ -72,10 +62,11 @@ let exec_child ~heap_words ~attempt job wfd =
       | Ok payload -> Jsonl.Obj [ ("ok", Jsonl.String payload) ]
       | Error d -> Jsonl.Obj [ ("rejected", Verdict.diag_to_json d) ]
     in
-    write_all wfd (Jsonl.to_string doc);
-    try Unix.close wfd with Unix.Unix_error _ -> ()
+    let delivered = Jsonl.write_all wfd (Jsonl.to_string doc) in
+    (try Unix.close wfd with Unix.Unix_error _ -> ());
+    delivered
   in
-  Unix._exit (match deliver () with () -> 0 | exception _ -> 1)
+  Unix._exit (match deliver () with Ok () -> 0 | Error _ | exception _ -> 1)
 
 (* --- Supervisor -------------------------------------------------------- *)
 
@@ -175,6 +166,17 @@ type completion = {
   c_verdict : Verdict.t;
   c_seconds : float;
 }
+
+let journal_record ~final c =
+  {
+    Journal.id = c.c_job.id;
+    seed = c.c_job.seed;
+    descr = c.c_job.descr;
+    attempt = c.c_attempt;
+    final;
+    verdict = c.c_verdict;
+    seconds = c.c_seconds;
+  }
 
 type t = {
   p_heap_words : int option;
@@ -320,7 +322,12 @@ let drive ?(retry = Retry.default) ?journal ?(resume = false)
   | Ok previous ->
       let finals = Journal.finals previous in
       let lasts = Journal.last_attempts previous in
-      let writer = Option.map Journal.open_writer journal in
+      let ( let* ) = Result.bind in
+      let* writer =
+        match journal with
+        | None -> Ok None
+        | Some path -> Result.map Option.some (Journal.open_writer path)
+      in
       let results : (string, Journal.record) Hashtbl.t =
         Hashtbl.create (List.length jobs)
       in
@@ -346,7 +353,7 @@ let drive ?(retry = Retry.default) ?journal ?(resume = false)
               in
               submit ~attempt j)
         jobs;
-      let journal_record r =
+      let append r =
         (* A dead journal sink must not abort the batch: the only cost of
            a lost record is redone work on the next resume. *)
         Option.iter
@@ -360,18 +367,8 @@ let drive ?(retry = Retry.default) ?journal ?(resume = false)
         let final =
           not (Retry.should_retry retry ~attempt:c.c_attempt c.c_verdict)
         in
-        let record =
-          {
-            Journal.id = c.c_job.id;
-            seed = c.c_job.seed;
-            descr = c.c_job.descr;
-            attempt = c.c_attempt;
-            final;
-            verdict = c.c_verdict;
-            seconds = c.c_seconds;
-          }
-        in
-        journal_record record;
+        let record = journal_record ~final c in
+        append record;
         if final then begin
           Hashtbl.replace results c.c_job.id record;
           log

@@ -81,6 +81,9 @@ type completion = {
   c_seconds : float;  (** Attempt wall-clock. *)
 }
 
+val journal_record : final:bool -> completion -> Journal.record
+(** The journal line of one completed attempt. *)
+
 val create : ?workers:int -> ?heap_words:int -> unit -> t
 
 val submit : t -> ?attempt:int -> deadline:float -> job -> unit

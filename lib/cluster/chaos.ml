@@ -3,6 +3,7 @@ module Jobs = Batch.Jobs
 module Journal = Batch.Journal
 module Retry = Batch.Retry
 module Jsonl = Batch.Jsonl
+module Endpoint = Serve.Endpoint
 
 type config = {
   dir : string;

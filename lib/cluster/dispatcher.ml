@@ -1,5 +1,6 @@
 module P = Serve.Protocol
 module Conn = Serve.Conn
+module Endpoint = Serve.Endpoint
 module Pool = Batch.Pool
 module Jsonl = Batch.Jsonl
 
@@ -46,16 +47,7 @@ type t = {
 let local_ok t = t.cfg.local_fallback || t.cfg.endpoints = []
 
 let create ?(config = default_config) () =
-  let rec bind acc = function
-    | [] -> Ok (List.rev acc)
-    | e :: rest -> (
-        match Endpoint.listen e with
-        | Ok fd -> bind (fd :: acc) rest
-        | Error d ->
-            List.iter (fun fd -> try Unix.close fd with _ -> ()) acc;
-            Error d)
-  in
-  match bind [] config.endpoints with
+  match Endpoint.listen ~code:"cluster.bind" config.endpoints with
   | Error d -> Error d
   | Ok listeners ->
       Ok
@@ -111,23 +103,15 @@ let stats_json t ~now =
 let accept_conns t =
   List.iter
     (fun lfd ->
-      let rec loop () =
-        match Unix.accept ~cloexec:true lfd with
-        | fd, _ ->
-            t.conns <-
-              {
-                c_conn = Conn.create ~max_frame:t.cfg.max_frame fd;
-                c_name = None;
-              }
-              :: t.conns;
-            loop ()
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | exception Unix.Unix_error (_, _, _) -> ()
-      in
-      loop ())
+      List.iter
+        (fun fd ->
+          t.conns <-
+            {
+              c_conn = Conn.create ~max_frame:t.cfg.max_frame fd;
+              c_name = None;
+            }
+            :: t.conns)
+        (Endpoint.accept lfd))
     t.listeners
 
 let find_conn t name =
@@ -268,9 +252,7 @@ let step t =
 let shutdown t =
   List.iter (fun c -> Conn.close c.c_conn) t.conns;
   t.conns <- [];
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.listeners;
-  List.iter Endpoint.unlink t.cfg.endpoints;
+  List.iter2 Endpoint.close t.cfg.endpoints t.listeners;
   ignore (Pool.kill_all t.pool)
 
 let run ?(config = default_config) ?retry ?journal ?resume

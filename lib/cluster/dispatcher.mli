@@ -16,7 +16,7 @@
     a cluster is asked for. *)
 
 type config = {
-  endpoints : Endpoint.t list;  (** Listeners workers dial into. *)
+  endpoints : Serve.Endpoint.t list;  (** Listeners workers dial into. *)
   local_workers : int;  (** Local pool width (fallback + wire-less jobs). *)
   heap_words : int option;
   lease : Lease.config;

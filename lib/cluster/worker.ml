@@ -1,5 +1,6 @@
 module P = Serve.Protocol
 module Conn = Serve.Conn
+module Endpoint = Serve.Endpoint
 module Pool = Batch.Pool
 module Retry = Batch.Retry
 module Jsonl = Batch.Jsonl

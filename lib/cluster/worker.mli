@@ -8,7 +8,7 @@
     is fenced off by the lease epoch. *)
 
 type config = {
-  endpoint : Endpoint.t;
+  endpoint : Serve.Endpoint.t;
   name : string;  (** Cluster-unique; re-registration supersedes. *)
   capacity : int;  (** Concurrent leases (local pool width). *)
   heap_words : int option;  (** Per-job heap ceiling. *)
@@ -26,7 +26,7 @@ type config = {
   log : string -> unit;
 }
 
-val default_config : endpoint:Endpoint.t -> name:string -> config
+val default_config : endpoint:Serve.Endpoint.t -> name:string -> config
 
 val run : ?stop:(unit -> bool) -> config -> (unit, Diag.t) result
 (** Blocks until [stop ()] turns true ([Ok ()]) or the dial budget is

@@ -136,64 +136,18 @@ let stats t =
     evictions = t.evictions;
   }
 
-(* Same torn-tail discipline as the batch journal: a crash mid-append
-   leaves at most one unterminated trailing line, which load drops; any
-   other unparsable line means the store is corrupt. Later entries for a
-   key win (an append-only store never rewrites). *)
-let load ?max_entries path : (t, Diag.t) result =
-  let t = empty ?max_entries () in
-  if not (Sys.file_exists path) then Ok t
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    let lines = String.split_on_char '\n' body in
-    let rec whole = function [] | [ _ ] -> [] | l :: rest -> l :: whole rest in
-    let rec parse lineno = function
-      | [] ->
-          (* Replayed lines are history, not traffic. *)
-          t.hits <- 0;
-          t.misses <- 0;
-          Ok t
-      | l :: rest when String.trim l = "" -> parse (lineno + 1) rest
-      | l :: rest -> (
-          match Result.bind (Batch.Jsonl.parse l) entry_of_json with
-          | Ok e ->
-              insert t e;
-              parse (lineno + 1) rest
-          | Error msg ->
-              Error
-                (Diag.input ~file:path
-                   ~span:(Diag.point ~line:lineno ~col:1)
-                   ~code:"explore.cache"
-                   ("corrupt cache entry: " ^ msg)))
-    in
-    parse 1 (whole lines)
-  end
+(* Later entries for a key win: an append-only store never rewrites. *)
+let load ?max_entries path =
+  Result.map
+    (fun entries ->
+      let t = empty ?max_entries () in
+      List.iter (insert t) entries;
+      t)
+    (Batch.Jsonl.load ~code:"explore.cache" ~what:"cache entry" path
+       entry_of_json)
 
-type writer = { fd : Unix.file_descr }
+type writer = Batch.Jsonl.writer
 
-let open_writer path =
-  { fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_APPEND ] 0o644 }
-
-let append w e =
-  let line = entry_to_json e ^ "\n" in
-  let b = Bytes.of_string line in
-  let rec write_all off =
-    if off < Bytes.length b then
-      match Unix.write w.fd b off (Bytes.length b - off) with
-      | n -> write_all (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-  in
-  match
-    write_all 0;
-    Unix.fsync w.fd
-  with
-  | () -> Ok ()
-  | exception Unix.Unix_error (err, _, _) ->
-      Error
-        (Diag.input ~code:"explore.cache-write"
-           (Printf.sprintf "cache append failed: %s" (Unix.error_message err)))
-
-let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
+let open_writer = Batch.Jsonl.open_writer ~code:"explore.cache-write"
+let append w e = Batch.Jsonl.append w (entry_to_json e)
+let close = Batch.Jsonl.close

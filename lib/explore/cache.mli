@@ -1,7 +1,7 @@
 (** Content-addressed result cache for sweep evaluations.
 
-    An fsynced JSONL store (one entry per line, {!Batch.Jsonl} documents,
-    the batch journal's torn-tail discipline) keyed by {!Lattice.key} —
+    A {!Batch.Jsonl} store (one fsynced entry per line, like the batch
+    journal) keyed by {!Lattice.key} —
     the digest of the canonicalized DFG and the full canonical option
     vector. Repeated or refined sweeps look every point up here first and
     skip evaluation on a hit; {e infeasible} verdicts are cached too, so
@@ -34,7 +34,8 @@ val empty : ?max_entries:int -> unit -> t
 
 val load : ?max_entries:int -> string -> (t, Diag.t) result
 (** A missing file is an empty cache; an unterminated trailing line is
-    dropped; any other unparsable line is an [explore.cache] input error.
+    dropped; an unreadable path or any other unparsable line is an
+    [explore.cache] input error.
     Later entries win on duplicate keys. With a cap, only the most
     recently appended [max_entries] survive the replay; counters start
     at zero either way. *)
@@ -73,11 +74,12 @@ val stats : t -> stats
 
 type writer
 
-val open_writer : string -> writer
-(** Open (create) for append. *)
+val open_writer : string -> (writer, Diag.t) result
+(** {!Batch.Jsonl.open_writer}: a path that cannot be opened for
+    appending is an [explore.cache-write] input error. *)
 
 val append : writer -> entry -> (unit, Diag.t) result
-(** One line, one [write] (EINTR-restarted), then fsync. Failures are
-    typed [explore.cache-write] errors, never uncaught [Unix_error]s. *)
+(** {!Batch.Jsonl.append}: failures are typed [explore.cache-write]
+    errors, never uncaught [Unix_error]s. *)
 
 val close : writer -> unit

@@ -54,8 +54,7 @@ let front_indices o =
 
 let ( let* ) = Result.bind
 
-let status_of_record (r : Batch.Journal.record) =
-  match r.Batch.Journal.verdict with
+let status_of_verdict = function
   | Batch.Verdict.Done payload -> (
       match
         Result.bind (Batch.Jsonl.parse payload) Lattice.metrics_of_json
@@ -70,6 +69,24 @@ let status_of_record (r : Batch.Journal.record) =
   | Batch.Verdict.Timeout -> Failed "timeout"
   | Batch.Verdict.Oom -> Failed "oom"
   | Batch.Verdict.Crashed _ as v -> Failed (Batch.Verdict.describe v)
+
+(* Keep memory and disk in step; a dead cache sink only costs cold
+   lookups next run, so log and continue. *)
+let record store writer ~log ~key ~descr status =
+  let cache outcome =
+    let e = { Cache.key; descr; outcome } in
+    Cache.insert store e;
+    Option.iter
+      (fun w ->
+        match Cache.append w e with
+        | Ok () -> ()
+        | Error d -> log (Diag.to_string d))
+      writer
+  in
+  match status with
+  | Solved m -> cache (Cache.Metrics m)
+  | Infeasible code -> cache (Cache.Infeasible code)
+  | Failed _ -> ()
 
 type runner =
   deadline:float ->
@@ -124,34 +141,15 @@ let evaluate_batch ~graph ~store ~writer ~runner ~deadline ~log points =
         (fun (r : Batch.Journal.record) ->
           Hashtbl.replace by_id r.Batch.Journal.id r)
         o.Batch.Pool.records;
-      (* Keep memory and disk in step; a dead cache sink only costs cold
-         lookups next run, so log and continue. *)
-      let record_entry e =
-        Cache.insert store e;
-        Option.iter
-          (fun w ->
-            match Cache.append w e with
-            | Ok () -> ()
-            | Error d -> log (Diag.to_string d))
-          writer
-      in
       let evals =
         List.filter_map
           (fun (p, k) ->
             match Hashtbl.find_opt by_id k with
             | None -> None (* in flight at an interrupt *)
             | Some r ->
-                let status = status_of_record r in
-                (match status with
-                | Solved m ->
-                    record_entry
-                      { Cache.key = k; descr = Lattice.descr p;
-                        outcome = Cache.Metrics m }
-                | Infeasible code ->
-                    record_entry
-                      { Cache.key = k; descr = Lattice.descr p;
-                        outcome = Cache.Infeasible code }
-                | Failed _ -> ());
+                let status = status_of_verdict r.Batch.Journal.verdict in
+                record store writer ~log ~key:k ~descr:(Lattice.descr p)
+                  status;
                 Some { e_point = p; e_key = k; e_status = status;
                        e_source = Evaluated })
           misses
@@ -181,7 +179,11 @@ let run ?(workers = 1) ?cache ?journal ?(resume = false) ?(deadline = 60.)
   let* store =
     match cache with None -> Ok (Cache.empty ()) | Some p -> Cache.load p
   in
-  let writer = Option.map Cache.open_writer cache in
+  let* writer =
+    match cache with
+    | None -> Ok None
+    | Some p -> Result.map Option.some (Cache.open_writer p)
+  in
   let finish r =
     Option.iter Cache.close writer;
     r

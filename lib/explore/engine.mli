@@ -47,6 +47,18 @@ val front : outcome -> (Lattice.point * Lattice.metrics) list
 val front_indices : outcome -> (int, unit) Hashtbl.t
 (** Point indices of the front members, for report row marking. *)
 
+val status_of_verdict : Batch.Verdict.t -> status
+(** How a point's verdict reads: a metrics payload is [Solved], an
+    infeasible or input rejection [Infeasible], anything else [Failed]. *)
+
+val record :
+  Cache.t -> Cache.writer option -> log:(string -> unit) -> key:string ->
+  descr:string -> status -> unit
+(** The one cache policy, shared with the serve daemon: a [Solved] or
+    [Infeasible] status is inserted into the cache, then appended to the
+    writer (a failed append is logged). [Failed] is never cached — it
+    may be environmental and must re-run. *)
+
 type runner =
   deadline:float ->
   (Batch.Pool.job * Batch.Jsonl.t) list ->

@@ -49,9 +49,11 @@ type tally = {
 let tally () =
   { sent = 0; ok = 0; cached = 0; io = 0; errors = Hashtbl.create 8 }
 
-let count_error t code =
+let add_errors t code n =
   Hashtbl.replace t.errors code
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.errors code))
+    (n + Option.value ~default:0 (Hashtbl.find_opt t.errors code))
+
+let count_error t code = add_errors t code 1
 
 let count_response t = function
   | Error (_ : Diag.t) -> t.io <- t.io + 1
@@ -184,96 +186,54 @@ let run_client cfg ~index =
       Client.close c;
       t
 
-(* --- Fork/aggregate ----------------------------------------------------- *)
+(* --- Clients as pool jobs ----------------------------------------------- *)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off < Bytes.length b then
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  go 0
-
-let read_all fd =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Buffer.contents buf
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (_, _, _) -> Buffer.contents buf
-  in
-  go ()
-
+(* Each client is one pool job, so it runs forked and leaves only through
+   _exit; its tally comes back as the job's payload. *)
 let run cfg =
   let jobs = max 1 cfg.jobs in
-  let spawn index =
-    let rfd, wfd = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-        (* A client leaves only through _exit: an exception must not
-           unwind into this forked copy of the caller. *)
-        (try
-           (try Unix.close rfd with Unix.Unix_error _ -> ());
-           Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-           write_all wfd (tally_to_json (run_client cfg ~index));
-           Unix.close wfd
-         with _ -> ());
-        Unix._exit 0
-    | pid ->
-        Unix.close wfd;
-        (pid, rfd)
-    | exception Unix.Unix_error (err, _, _) ->
-        Unix.close rfd;
-        Unix.close wfd;
-        raise (Unix.Unix_error (err, "fork", ""))
+  let client index =
+    Batch.Pool.job ~id:(string_of_int index) ~seed:index
+      ~descr:(Printf.sprintf "client %d" index)
+      (fun () ->
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        Ok (tally_to_json (run_client cfg ~index)))
   in
-  match List.init jobs spawn with
+  match
+    Batch.Pool.run ~workers:jobs ~retry:Batch.Retry.none
+      ~deadline:(cfg.timeout *. float_of_int (cfg.requests + 1))
+      (List.init jobs client)
+  with
   | exception Unix.Unix_error (err, _, _) ->
       Error
         (Diag.internal ~code:"serve.bombard"
            ("cannot fork load clients: " ^ Unix.error_message err))
-  | children ->
+  | Error d -> Error d
+  | Ok outcome ->
       let agg = tally () in
       List.iter
-        (fun (pid, rfd) ->
-          let body = read_all rfd in
-          (try Unix.close rfd with Unix.Unix_error _ -> ());
-          let rec wait () =
-            match Unix.waitpid [] pid with
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+        (fun (r : Batch.Journal.record) ->
+          let doc =
+            match r.Batch.Journal.verdict with
+            | Batch.Verdict.Done body -> Result.to_option (Jsonl.parse body)
+            | _ -> None
           in
-          wait ();
-          match Jsonl.parse body with
-          | Error _ -> agg.io <- agg.io + cfg.requests
-          | Ok doc ->
-              agg.sent <-
-                (agg.sent + Option.value ~default:0 (Jsonl.int "sent" doc));
-              agg.ok <- agg.ok + Option.value ~default:0 (Jsonl.int "ok" doc);
-              agg.cached <-
-                (agg.cached + Option.value ~default:0 (Jsonl.int "cached" doc));
-              agg.io <- agg.io + Option.value ~default:0 (Jsonl.int "io" doc);
-              (match Jsonl.member "errors" doc with
+          match doc with
+          | None -> agg.io <- agg.io + cfg.requests
+          | Some doc -> (
+              let count key = Option.value ~default:0 (Jsonl.int key doc) in
+              agg.sent <- agg.sent + count "sent";
+              agg.ok <- agg.ok + count "ok";
+              agg.cached <- agg.cached + count "cached";
+              agg.io <- agg.io + count "io";
+              match Jsonl.member "errors" doc with
               | Some (Jsonl.Obj fields) ->
                   List.iter
                     (fun (code, v) ->
-                      match Jsonl.to_int v with
-                      | Some n ->
-                          Hashtbl.replace agg.errors code
-                            (n
-                            + Option.value ~default:0
-                                (Hashtbl.find_opt agg.errors code))
-                      | None -> ())
+                      Option.iter (add_errors agg code) (Jsonl.to_int v))
                     fields
               | _ -> ()))
-        children;
+        outcome.Batch.Pool.records;
       let errors =
         Hashtbl.fold (fun code n acc -> (code, n) :: acc) agg.errors []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)

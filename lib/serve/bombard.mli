@@ -1,6 +1,6 @@
 (** [synth bombard]: a load-test client for the daemon.
 
-    Forks [jobs] concurrent client processes, each firing [requests]
+    Runs [jobs] concurrent client processes, each firing [requests]
     requests from a deterministic mixed corpus (schedule points cycling
     over a few option vectors — so keys repeat and the cache and
     coalescing paths are exercised — plus lint and ping traffic), with
@@ -48,7 +48,10 @@ type report = {
 }
 
 val run : config -> (report, Diag.t) result
-(** [Error] only when the campaign cannot run at all (fork failure);
-    per-request trouble is data in the report. *)
+(** Each client is a {!Batch.Pool} job with a deadline of
+    [timeout × (requests + 1)]; one that does not come back [Done] counts
+    all its requests as transport failures. [Error] only when the
+    campaign cannot run at all (fork failure); per-request trouble is
+    data in the report. *)
 
 val report_to_json : report -> string

@@ -340,18 +340,7 @@ let handle_request st conn (env : P.envelope) =
 let journal_completion st (c : Pool.completion) =
   Option.iter
     (fun w ->
-      let r =
-        {
-          Journal.id = c.Pool.c_job.Pool.id;
-          seed = c.Pool.c_job.Pool.seed;
-          descr = c.Pool.c_job.Pool.descr;
-          attempt = c.Pool.c_attempt;
-          final = true;
-          verdict = c.Pool.c_verdict;
-          seconds = c.Pool.c_seconds;
-        }
-      in
-      match Journal.append w r with
+      match Journal.append w (Pool.journal_record ~final:true c) with
       | Ok () -> ()
       | Error d -> st.cfg.log (Diag.to_string d))
     st.journal
@@ -359,30 +348,10 @@ let journal_completion st (c : Pool.completion) =
 let cache_completion st ~key ~cache_as verdict =
   match cache_as with
   | No_cache -> ()
-  | Cache_point descr -> (
-      let record entry =
-        Cache.insert st.cache entry;
-        Option.iter
-          (fun w ->
-            match Cache.append w entry with
-            | Ok () -> ()
-            | Error d -> st.cfg.log (Diag.to_string d))
-          st.cache_writer
-      in
-      match verdict with
-      | Batch.Verdict.Done payload -> (
-          match
-            Result.bind (Jsonl.parse payload) Lattice.metrics_of_json
-          with
-          | Ok m ->
-              record { Cache.key; descr; outcome = Cache.Metrics m }
-          | Error _ -> ())
-      | Batch.Verdict.Rejected d
-        when d.Diag.category = Diag.Infeasible
-             || d.Diag.category = Diag.Input ->
-          record
-            { Cache.key; descr; outcome = Cache.Infeasible d.Diag.code }
-      | _ -> ())
+  | Cache_point descr ->
+      Explore.Engine.record st.cache st.cache_writer ~log:st.cfg.log ~key
+        ~descr
+        (Explore.Engine.status_of_verdict verdict)
 
 let complete st (c : Pool.completion) =
   let key = c.Pool.c_job.Pool.id in
@@ -423,42 +392,16 @@ let fail_all_inflight st d =
   in
   drop ()
 
-(* --- Listeners ---------------------------------------------------------- *)
+(* --- Startup ------------------------------------------------------------ *)
 
-let bind_error what err =
-  Diag.input ~code:"serve.bind"
-    (Printf.sprintf "cannot listen on %s: %s" what (Unix.error_message err))
+let ( let* ) = Result.bind
 
-let unix_listener path =
-  match
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.set_nonblock fd;
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  with
-  | fd -> Ok fd
-  | exception Unix.Unix_error (err, _, _) -> Error (bind_error path err)
-
-let tcp_listener port =
-  match
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.set_nonblock fd;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen fd 64;
-    fd
-  with
-  | fd -> Ok fd
-  | exception Unix.Unix_error (err, _, _) ->
-      Error (bind_error (Printf.sprintf "127.0.0.1:%d" port) err)
-
-(* --- Crash-only store loading ------------------------------------------- *)
-
+(* Crash-only: a store whose lines fail to parse (the error points at a
+   line) is moved aside and the daemon starts cold; a path that cannot
+   be read at all is a startup error. *)
 let load_cache cfg =
   match cfg.cache_path with
-  | None -> Cache.empty ?max_entries:cfg.cache_max ()
+  | None -> Ok (Cache.empty ?max_entries:cfg.cache_max ())
   | Some path -> (
       match Cache.load ?max_entries:cfg.cache_max path with
       | Ok c ->
@@ -466,16 +409,32 @@ let load_cache cfg =
             (Printf.sprintf "cache: %d entr%s warm from %s" (Cache.size c)
                (if Cache.size c = 1 then "y" else "ies")
                path);
-          c
+          Ok c
+      | Error d when d.Diag.span = None -> Error d
       | Error d ->
-          (* Crash-only: a corrupt store is moved aside, never fatal. *)
           let aside = path ^ ".corrupt" in
           (try Sys.rename path aside with Sys_error _ -> ());
           cfg.log (Diag.to_string d);
           cfg.log
             (Printf.sprintf "cache: corrupt store moved to %s; starting cold"
                aside);
-          Cache.empty ?max_entries:cfg.cache_max ())
+          Ok (Cache.empty ?max_entries:cfg.cache_max ()))
+
+(* The writers open after [load_cache], so once a corrupt store is moved
+   aside new entries start a fresh PATH instead of landing in
+   PATH.corrupt. *)
+let open_stores cfg =
+  let open_opt open_writer = function
+    | None -> Ok None
+    | Some path -> Result.map Option.some (open_writer path)
+  in
+  let* cache = load_cache cfg in
+  let* cache_writer = open_opt Cache.open_writer cfg.cache_path in
+  match open_opt Journal.open_writer cfg.journal_path with
+  | Ok journal -> Ok (cache, cache_writer, journal)
+  | Error d ->
+      Option.iter Cache.close cache_writer;
+      Error d
 
 (* --- Main loop ----------------------------------------------------------- *)
 
@@ -485,21 +444,26 @@ let run ?(ready = fun () -> ()) cfg =
   let handle = Sys.Signal_handle (fun _ -> drain_requested := true) in
   Sys.set_signal Sys.sigterm handle;
   Sys.set_signal Sys.sigint handle;
-  let ( let* ) = Result.bind in
-  let* unix_fd = unix_listener cfg.socket in
-  let* tcp_fd =
-    match cfg.tcp_port with
-    | None -> Ok None
-    | Some port -> Result.map Option.some (tcp_listener port)
+  let endpoints =
+    Endpoint.Unix_path cfg.socket
+    :: Option.to_list (Option.map (fun p -> Endpoint.Tcp p) cfg.tcp_port)
+  in
+  let* listeners = Endpoint.listen ~code:"serve.bind" endpoints in
+  let* cache, cache_writer, journal =
+    Result.map_error
+      (fun d ->
+        List.iter2 Endpoint.close endpoints listeners;
+        d)
+      (open_stores cfg)
   in
   let st =
     {
       cfg;
       pool = Pool.create ~workers:cfg.workers ?heap_words:cfg.heap_words ();
       adm = Admission.create ~limit:cfg.queue_limit;
-      cache = load_cache cfg;
-      cache_writer = Option.map Cache.open_writer cfg.cache_path;
-      journal = Option.map Journal.open_writer cfg.journal_path;
+      cache;
+      cache_writer;
+      journal;
       stats = Stats.create ();
       conns = [];
       inflight = Hashtbl.create 32;
@@ -508,7 +472,7 @@ let run ?(ready = fun () -> ()) cfg =
       drain_at = 0.;
     }
   in
-  let listeners = ref (unix_fd :: Option.to_list tcp_fd) in
+  let listeners = ref listeners in
   cfg.log
     (Printf.sprintf "listening on %s%s (workers=%d deadline=%.0fs queue=%d)"
        cfg.socket
@@ -532,32 +496,21 @@ let run ?(ready = fun () -> ()) cfg =
   let accept_ready ready_fds =
     List.iter
       (fun lfd ->
-        if List.memq lfd ready_fds then begin
-          let rec accept_loop () =
-            match Unix.accept lfd with
-            | fd, _ ->
-                if List.length st.conns >= cfg.max_conns then
-                  overloaded_conn fd
-                else
-                  st.conns <-
-                    {
-                      c_conn = Conn.create ~max_frame:cfg.max_frame fd;
-                      c_last_read = Unix.gettimeofday ();
-                      c_eof = false;
-                      c_outstanding = 0;
-                      c_refused = false;
-                    }
-                    :: st.conns;
-                accept_loop ()
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-              ->
-                ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-          in
-          accept_loop ()
-        end)
+        if List.memq lfd ready_fds then
+          List.iter
+            (fun fd ->
+              if List.length st.conns >= cfg.max_conns then overloaded_conn fd
+              else
+                st.conns <-
+                  {
+                    c_conn = Conn.create ~max_frame:cfg.max_frame fd;
+                    c_last_read = Unix.gettimeofday ();
+                    c_eof = false;
+                    c_outstanding = 0;
+                    c_refused = false;
+                  }
+                  :: st.conns)
+            (Endpoint.accept lfd))
       !listeners
   in
   let read_conn c =
@@ -636,9 +589,7 @@ let run ?(ready = fun () -> ()) cfg =
     if !drain_requested && not st.draining then begin
       st.draining <- true;
       st.drain_at <- Unix.gettimeofday () +. cfg.drain_timeout;
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        !listeners;
+      List.iter2 Endpoint.close endpoints !listeners;
       listeners := [];
       cfg.log "drain: stopped accepting; finishing in-flight work"
     end;
@@ -715,6 +666,5 @@ let run ?(ready = fun () -> ()) cfg =
   List.iter (fun c -> Conn.close c.c_conn) st.conns;
   Option.iter Cache.close st.cache_writer;
   Option.iter Journal.close st.journal;
-  (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
   cfg.log "drain: complete";
   Ok ()

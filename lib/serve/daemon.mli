@@ -26,7 +26,9 @@
     SIGKILL), every waiter gets a response, buffers flush, exit 0. *)
 
 type config = {
-  socket : string;  (** Unix-domain socket path; stale files are replaced. *)
+  socket : string;
+      (** Unix-domain socket path; a stale socket there is replaced, any
+          other file is refused ([serve.bind]). *)
   tcp_port : int option;  (** Extra listener on 127.0.0.1:port. *)
   workers : int;  (** Pool slots — the concurrency ceiling. *)
   deadline : float;
@@ -57,5 +59,6 @@ val default : socket:string -> config
 val run : ?ready:(unit -> unit) -> config -> (unit, Diag.t) result
 (** Serve until SIGTERM/SIGINT, then drain and return [Ok ()] (the CLI
     exits 0). [ready] fires once after the listeners are bound. Errors
-    are reserved for startup problems (unbindable socket); per-request
-    failures are responses, not exits. *)
+    are reserved for startup problems (unbindable socket, a store path
+    that cannot be read or opened); per-request failures are responses,
+    not exits. *)

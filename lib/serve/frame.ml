@@ -45,17 +45,7 @@ let io_error err =
   Diag.input ~code:"serve.io"
     (Printf.sprintf "socket IO failed: %s" (Unix.error_message err))
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off >= Bytes.length b then Ok ()
-    else
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (err, _, _) -> Error (io_error err)
-  in
-  go 0
+let write_all fd s = Result.map_error io_error (Batch.Jsonl.write_all fd s)
 
 let send fd payload = write_all fd (encode payload)
 

@@ -110,3 +110,10 @@ let guarded_dag_gen ?(max_ops = 18) () =
             Workloads.Random_dag.ops; guard_prob = 0.4 }
         ~seed ())
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 2 max_ops))
+
+(* A crash mid-append: cut a store inside its last line, keeping 10
+   bytes of it and no newline. *)
+let tear_last_line path =
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  let last = String.rindex_from body (String.length body - 2) '\n' in
+  Unix.truncate path (last + 1 + 10)

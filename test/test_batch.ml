@@ -93,7 +93,7 @@ let record ?(attempt = 1) ?(final = true) ~id ~seed verdict =
 let journal_roundtrip_and_torn_line () =
   let path = tmp_path "torn.jsonl" in
   if Sys.file_exists path then Sys.remove path;
-  let w = Batch.Journal.open_writer path in
+  let w = Helpers.check_okd "open" (Batch.Journal.open_writer path) in
   let r1 = record ~id:"a" ~seed:0 (Batch.Verdict.Done "{}") in
   let r2 =
     record ~id:"b" ~seed:1 ~final:false Batch.Verdict.Timeout ~attempt:1
@@ -127,6 +127,42 @@ let journal_roundtrip_and_torn_line () =
   | Error d ->
       Alcotest.(check string) "journal code" "batch.journal" d.Diag.code);
   Sys.remove path
+
+(* The record after a torn line starts a line of its own: the writer cuts
+   the torn tail when it opens, instead of appending onto it and turning
+   it into a corrupt middle line. *)
+let journal_torn_tail_cut_on_open () =
+  let path = tmp_path "torn-reopen.jsonl" in
+  if Sys.file_exists path then Sys.remove path;
+  let append rs =
+    let w = Helpers.check_okd "open" (Batch.Journal.open_writer path) in
+    List.iter
+      (fun r -> Helpers.check_okd "append" (Batch.Journal.append w r))
+      rs;
+    Batch.Journal.close w
+  in
+  append
+    [
+      record ~id:"a" ~seed:0 (Batch.Verdict.Done "{}");
+      record ~id:"b" ~seed:1 Batch.Verdict.Timeout;
+    ];
+  Helpers.tear_last_line path;
+  append [ record ~id:"c" ~seed:2 Batch.Verdict.Oom ];
+  let rs = Helpers.check_okd "load" (Batch.Journal.load path) in
+  Alcotest.(check (list string)) "first and third records" [ "a"; "c" ]
+    (List.map (fun r -> r.Batch.Journal.id) rs);
+  Sys.remove path
+
+(* A path that cannot be opened or read is a typed error, not an
+   exception: the -write code for appending, the store's code for
+   reading. *)
+let journal_unusable_path_is_typed () =
+  let dir = Filename.get_temp_dir_name () in
+  let code = function Ok _ -> "ok" | Error (d : Diag.t) -> d.Diag.code in
+  Alcotest.(check string) "open a directory" "batch.journal-write"
+    (code (Batch.Journal.open_writer dir));
+  Alcotest.(check string) "load a directory" "batch.journal"
+    (code (Batch.Journal.load dir))
 
 let journal_equivalence () =
   let a =
@@ -471,6 +507,10 @@ let suite =
     test "verdict: journal fields round-trip" verdict_fields_roundtrip;
     test "journal: fsynced records survive a torn tail"
       journal_roundtrip_and_torn_line;
+    test "journal: a torn tail is cut before the next append"
+      journal_torn_tail_cut_on_open;
+    test "journal: an unusable path is a typed error"
+      journal_unusable_path_is_typed;
     test "journal: equivalence ignores order and retries" journal_equivalence;
     test "pool: records come back in submission order" pool_submission_order;
     test "pool: hang and segv are contained, 18 neighbours finish"

@@ -2,6 +2,7 @@ open Cluster
 module Retry = Batch.Retry
 module Jsonl = Batch.Jsonl
 module Pool = Batch.Pool
+module Endpoint = Serve.Endpoint
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 let test name f = Alcotest.test_case name `Quick f

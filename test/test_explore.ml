@@ -289,7 +289,7 @@ let entry_roundtrip () =
 let cache_store_roundtrip () =
   let path = tmp_path "cache.jsonl" in
   rm path;
-  let w = Cache.open_writer path in
+  let w = Helpers.check_okd "open" (Cache.open_writer path) in
   Helpers.check_okd "append" (Cache.append w
     { Cache.key = "a"; descr = "p0"; outcome = Cache.Metrics sample_metrics });
   Helpers.check_okd "append" (Cache.append w
@@ -319,6 +319,29 @@ let cache_tolerates_torn_tail () =
   close_out oc;
   let t = Helpers.check_okd "load" (Cache.load path) in
   Alcotest.(check int) "torn tail dropped" 1 (Cache.size t);
+  rm path
+
+(* A torn tail is cut when the writer opens, so the next entry is not
+   glued onto it. *)
+let cache_torn_tail_cut_on_open () =
+  let path = tmp_path "torn-reopen.jsonl" in
+  rm path;
+  let append keys =
+    let w = Helpers.check_okd "open" (Cache.open_writer path) in
+    List.iter
+      (fun k ->
+        Helpers.check_okd "append"
+          (Cache.append w
+             { Cache.key = k; descr = "p"; outcome = Cache.Infeasible "c" }))
+      keys;
+    Cache.close w
+  in
+  append [ "a"; "b" ];
+  Helpers.tear_last_line path;
+  append [ "c" ];
+  let t = Helpers.check_okd "load" (Cache.load path) in
+  Alcotest.(check (list bool)) "first and third entries" [ true; false; true ]
+    (List.map (fun k -> Cache.peek t k <> None) [ "a"; "b"; "c" ]);
   rm path
 
 let cache_rejects_garbage () =
@@ -395,7 +418,7 @@ let cache_pins_shield_in_flight_keys () =
 let cache_load_respects_cap () =
   let path = tmp_path "capped-cache.jsonl" in
   rm path;
-  let w = Cache.open_writer path in
+  let w = Helpers.check_okd "open" (Cache.open_writer path) in
   List.iter
     (fun k -> Helpers.check_okd "append" (Cache.append w (mini_entry k)))
     [ "a"; "b"; "c" ];
@@ -420,7 +443,11 @@ let cache_concurrent_writers_no_torn_lines () =
   let child tag =
     match Unix.fork () with
     | 0 ->
-        let w = Cache.open_writer path in
+        let w =
+          match Cache.open_writer path with
+          | Ok w -> w
+          | Error _ -> Unix._exit 1
+        in
         for i = 0 to per_child - 1 do
           let e =
             {
@@ -648,6 +675,8 @@ let suite =
     test "cache: entries round-trip" entry_roundtrip;
     test "cache: store round-trips, later entries win" cache_store_roundtrip;
     test "cache: torn trailing line dropped" cache_tolerates_torn_tail;
+    test "cache: a torn tail is cut before the next append"
+      cache_torn_tail_cut_on_open;
     test "cache: garbage is an explore.cache error" cache_rejects_garbage;
     test "cache: missing file is empty" cache_missing_is_empty;
     test "cache: LRU cap evicts the least recent" cache_lru_evicts_least_recent;

@@ -321,6 +321,19 @@ let stop_daemon pid =
   | Unix.WEXITED n -> Alcotest.failf "daemon drained with exit %d, not 0" n
   | _ -> Alcotest.fail "daemon killed by signal during drain"
 
+(* Run [f] against a live daemon and drain it after; a failure in [f]
+   kills the daemon instead, so no test leaves one serving. *)
+let with_daemon cfg f =
+  let pid = start_daemon cfg in
+  match f () with
+  | v ->
+      stop_daemon pid;
+      v
+  | exception e ->
+      Unix.kill pid Sys.sigkill;
+      ignore (wait_exit pid);
+      raise e
+
 let connect socket = Helpers.check_okd "connect" (Client.connect socket)
 
 let schedule_payload ~id ?(weights = "1/1/1/1") ?inject ?deadline () =
@@ -502,6 +515,73 @@ let serve_kill9_restart_serves_warm () =
   Client.close c;
   stop_daemon pid2
 
+(* A corrupt store is moved aside before the cache writer opens: the
+   next run's entries start a fresh store, and the run after that serves
+   them warm. *)
+let serve_corrupt_cache_restarts_warm () =
+  let socket = tmp "corrupt.sock" and cache = tmp "corrupt-cache.jsonl" in
+  let aside = cache ^ ".corrupt" in
+  List.iter rm [ socket; cache; aside ];
+  Out_channel.with_open_bin cache (fun oc ->
+      output_string oc "not a cache entry\n{\"also\":\"not one\"}\n");
+  let cfg =
+    { (Daemon.default ~socket) with Daemon.cache_path = Some cache }
+  in
+  let schedule_once id =
+    with_daemon cfg (fun () ->
+        let c = connect socket in
+        let r = request c (schedule_payload ~id ()) in
+        Client.close c;
+        r)
+  in
+  Fun.protect ~finally:(fun () -> List.iter rm [ socket; cache; aside ])
+  @@ fun () ->
+  let r1 = schedule_once "cold" in
+  Alcotest.(check string) "cold run ok" "ok" (response_code r1);
+  Alcotest.(check bool) "cold run fresh" false r1.Protocol.r_cached;
+  Alcotest.(check bool) "corrupt store moved aside" true
+    (Sys.file_exists aside);
+  let r2 = schedule_once "warm" in
+  Alcotest.(check string) "repeat ok" "ok" (response_code r2);
+  Alcotest.(check bool) "repeat answered from the fresh store" true
+    r2.Protocol.r_cached
+
+(* A regular file at the socket path is refused, not replaced. *)
+let serve_refuses_a_non_socket_path () =
+  let socket = tmp "notes.txt" in
+  Out_channel.with_open_bin socket (fun oc -> output_string oc "keep me\n");
+  Fun.protect ~finally:(fun () ->
+      (* run installs the drain handlers in this process. *)
+      Sys.set_signal Sys.sigterm Sys.Signal_default;
+      Sys.set_signal Sys.sigint Sys.Signal_default;
+      rm socket)
+  @@ fun () ->
+  let started () = failwith "the daemon replaced the file and served" in
+  let d =
+    Helpers.check_errd "run"
+      (Daemon.run ~ready:started (Daemon.default ~socket))
+  in
+  Alcotest.(check string) "typed bind error" "serve.bind" d.Diag.code;
+  Alcotest.(check string) "file intact" "keep me\n"
+    (In_channel.with_open_bin socket In_channel.input_all)
+
+(* Binding a list of endpoints is all or nothing: when one is refused,
+   the ones bound before it are closed and their socket files removed. *)
+let endpoint_listen_all_or_nothing () =
+  let good = tmp "good.sock" and notes = tmp "notes2.txt" in
+  rm good;
+  Out_channel.with_open_bin notes (fun oc -> output_string oc "keep me\n");
+  Fun.protect ~finally:(fun () -> List.iter rm [ good; notes ]) @@ fun () ->
+  let d =
+    Helpers.check_errd "listen"
+      (Endpoint.listen ~code:"test.bind"
+         [ Endpoint.Unix_path good; Endpoint.Unix_path notes ])
+  in
+  Alcotest.(check string) "caller's code" "test.bind" d.Diag.code;
+  Alcotest.(check bool) "first socket removed" false (Sys.file_exists good);
+  Alcotest.(check string) "refused file intact" "keep me\n"
+    (In_channel.with_open_bin notes In_channel.input_all)
+
 (* A refused oversized frame: the client finishes writing it without
    EPIPE, reads exactly one typed refusal, and a client that then stays
    silent is closed once read_timeout passes. *)
@@ -532,6 +612,38 @@ let serve_oversize_refusal_lingers () =
   Client.close c;
   stop_daemon pid
 
+(* synth bombard against a live daemon: the planted hangs, oversized
+   frames and half-closed sockets all come back as typed responses, and
+   no request is a transport failure. *)
+let bombard_planted_faults_come_back_typed () =
+  let socket = tmp "bombard.sock" in
+  rm socket;
+  Fun.protect ~finally:(fun () -> rm socket) @@ fun () ->
+  let report =
+    with_daemon (Daemon.default ~socket) (fun () ->
+        Helpers.check_okd "bombard"
+          (Bombard.run
+             {
+               (Bombard.default ~socket) with
+               Bombard.jobs = 2;
+               requests = 12;
+               plant_hang = true;
+               plant_oversize = true;
+               plant_half_close = true;
+             }))
+  in
+  let count code =
+    Option.value ~default:0 (List.assoc_opt code report.Bombard.b_errors)
+  in
+  Alcotest.(check (list string)) "no violated assertion" []
+    report.Bombard.b_failures;
+  Alcotest.(check int) "no transport failure" 0 report.Bombard.b_io_failures;
+  Alcotest.(check int) "every request sent" 24 report.Bombard.b_sent;
+  Alcotest.(check bool) "hangs come back as serve.deadline" true
+    (count "serve.deadline" >= 1);
+  Alcotest.(check bool) "oversize comes back as serve.frame-too-large" true
+    (count "serve.frame-too-large" >= 1)
+
 let suite =
   [
     test "frame: round-trips under any chunking" frame_roundtrip_any_split;
@@ -560,4 +672,12 @@ let suite =
       serve_oversize_refusal_lingers;
     test "client: pipelined replies read together are all kept"
       client_keeps_pipelined_replies;
+    test "bombard: planted faults all come back typed"
+      bombard_planted_faults_come_back_typed;
+    test "daemon: a corrupt cache is moved aside, the next restart is warm"
+      serve_corrupt_cache_restarts_warm;
+    test "daemon: a non-socket file at the socket path is refused"
+      serve_refuses_a_non_socket_path;
+    test "endpoint: a refused listen leaves nothing bound"
+      endpoint_listen_all_or_nothing;
   ]
