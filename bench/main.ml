@@ -103,7 +103,7 @@ let table1 () =
               match Core.Mfs.schedule ~config:r.r_config r.r_graph (Core.Mfs.Time { cs }) with
               | Ok s ->
                   [ r.r_name; r.r_feature; Printf.sprintf "T=%d" cs; fus s;
-                    (match Core.Schedule.check s with Ok () -> "yes" | Error _ -> "NO") ]
+                    (if Core.Schedule.check_diags s = [] then "yes" else "NO") ]
               | Error e -> [ r.r_name; r.r_feature; Printf.sprintf "T=%d" cs; "error: " ^ Diag.message e; "-" ])
             r.r_budgets
         in
@@ -117,7 +117,7 @@ let table1 () =
               match Core.Mfs.schedule ~config r.r_graph (Core.Mfs.Time { cs }) with
               | Ok s ->
                   [ r.r_name; r.r_feature; Printf.sprintf "L=%d" latency; fus s;
-                    (match Core.Schedule.check s with Ok () -> "yes" | Error _ -> "NO") ]
+                    (if Core.Schedule.check_diags s = [] then "yes" else "NO") ]
               | Error e ->
                   [ r.r_name; r.r_feature; Printf.sprintf "L=%d" latency; "error: " ^ Diag.message e; "-" ])
             r.r_latencies
@@ -385,15 +385,19 @@ type scaling_row = {
 (* Per-attempt time — what the fitted exponent is computed over. *)
 let per_attempt m = m.m_t /. float_of_int m.m_attempts
 
+(* The scaling ladder's graph and time budget at one size. *)
+let scaling_graph ops =
+  let g =
+    Workloads.Random_dag.generate_exn
+      ~spec:{ Workloads.Random_dag.default with Workloads.Random_dag.ops }
+      ~seed:17 ()
+  in
+  (g, Dfg.Bounds.critical_path g + 2)
+
 let measure_scaling sizes =
   List.map
     (fun ops ->
-      let g =
-        Workloads.Random_dag.generate_exn
-          ~spec:{ Workloads.Random_dag.default with Workloads.Random_dag.ops }
-          ~seed:17 ()
-      in
-      let cs = Dfg.Bounds.critical_path g + 2 in
+      let g, cs = scaling_graph ops in
       let attempts =
         (okd (Core.Mfs.run g (Core.Mfs.Time { cs }))).Core.Mfs.restarts + 1
       in
@@ -527,6 +531,69 @@ let scaling () =
 
 (* --- Gate: perf regression check against the committed baseline ---------- *)
 
+(* The four back-end audits perfbench's compile runs after binding, on the
+   MFS + column-binding design of the scaling graph at each size: the
+   schedule check, the datapath check and the two post-lint passes. Each
+   is a pairwise check over a unit's or a register's members, so some
+   growth is inherent; the gate bounds how fast their summed time grows
+   with the graph. Each audit is timed like the kernel ([time_scaling]),
+   so heap growth does not inflate the small tiers and flatten the fit. *)
+let audit_sizes = List.filter (fun n -> n >= 100 && n <= 1600) scaling_sizes
+let audit_exponent_limit = 2.4
+
+let measure_audits ops =
+  let g, cs = scaling_graph ops in
+  let p = Harness.Problem.make g in
+  let config = p.Harness.Problem.config in
+  let latency = config.Core.Config.functional_latency in
+  let delay = Harness.Problem.delay p in
+  let o = okd (Core.Mfs.run ~config g (Core.Mfs.Time { cs })) in
+  let s = o.Core.Mfs.schedule in
+  let dp =
+    ok (Harness.Problem.colbind_datapath p.Harness.Problem.library config g s)
+  in
+  let ctrl = ok (Rtl.Controller.generate dp ~delay) in
+  let time f =
+    time_scaling ~reps:3 (fun () -> ignore (Sys.opaque_identity (f ())))
+  in
+  [
+    time (fun () -> Core.Schedule.check_diags s);
+    time (fun () ->
+        Rtl.Check.datapath ~steps_overlap:(Core.Grid.steps_overlap ~latency)
+          dp ~delay);
+    time (fun () -> Analysis.Runner.post_schedule ~trace:o.Core.Mfs.trace s);
+    time (fun () ->
+        Analysis.Runner.post_rtl ~share_mutex:config.Core.Config.share_mutex
+          ?latency dp ctrl ~delay);
+  ]
+
+(* Prints the audits' table and returns a failure line when their fitted
+   exponent is over the limit. *)
+let audit_gate () =
+  let rows = List.map (fun ops -> (ops, measure_audits ops)) audit_sizes in
+  let total ts = List.fold_left ( +. ) 0. ts in
+  print_string
+    (Report.Table.render
+       ~header:
+         [ "ops"; "schedule check (ms)"; "datapath check (ms)";
+           "post-schedule (ms)"; "post-rtl (ms)"; "total (ms)" ]
+       (List.map
+          (fun (ops, ts) ->
+            string_of_int ops
+            :: List.map
+                 (fun t -> Printf.sprintf "%.2f" (t *. 1e3))
+                 (ts @ [ total ts ]))
+          rows));
+  match fitted_exponent (List.map (fun (ops, ts) -> (ops, total ts)) rows) with
+  | Some b ->
+      Printf.printf "audits' fitted exponent: %.3f (limit %.1f)\n" b
+        audit_exponent_limit;
+      if b > audit_exponent_limit then
+        [ Printf.sprintf "audits' fitted exponent %.3f exceeds %.1f" b
+            audit_exponent_limit ]
+      else []
+  | None -> [ "could not fit the audits' exponent" ]
+
 (* Reads the committed BENCH_scaling.json (never writes it — CI checks the
    tree stays clean), re-measures the same sizes, and fails when the kernel
    regresses.  kernel_ms is the per-attempt time on both sides, so a change
@@ -534,9 +601,11 @@ let scaling () =
    comparison.  Thresholds: a row fails when its fresh kernel_ms exceeds
    the committed one by more than 25% plus a 0.5 ms absolute slack (sub-ms
    rows would otherwise flake on scheduler jitter), and the freshly fitted
-   exponent must stay at or below 1.15. *)
+   exponent must stay at or below 1.15.  The audits' exponent
+   ([audit_gate]) must stay at or below 2.4. *)
 let gate () =
-  print_endline "== Bench gate: kernel_ms and fitted exponent vs committed ==";
+  print_endline
+    "== Bench gate: kernel_ms and exponent vs committed, audit growth ==";
   let doc =
     let ic = open_in scaling_json in
     let len = in_channel_length ic in
@@ -598,6 +667,7 @@ let gate () =
         failures :=
           Printf.sprintf "fitted exponent %.3f exceeds 1.15" b :: !failures
   | None -> failures := "could not fit an exponent" :: !failures);
+  failures := audit_gate () @ !failures;
   if !failures <> [] then begin
     List.iter (fun f -> Printf.eprintf "bench gate: FAIL: %s\n" f) !failures;
     exit 1

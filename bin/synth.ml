@@ -232,9 +232,9 @@ let mfs_cmd =
                (Core.Liapunov.Trace.non_increasing outcome.Core.Mfs.trace)
                (Core.Liapunov.Trace.positive outcome.Core.Mfs.trace) );
            ( "valid",
-             match Core.Schedule.check s with
-             | Ok () -> "yes"
-             | Error errs -> "NO: " ^ String.concat "; " errs );
+             match Core.Schedule.check_diags s with
+             | [] -> "yes"
+             | ds -> "NO: " ^ String.concat "; " (List.map Diag.message ds) );
          ])
   in
   Cmd.v (Cmd.info "mfs" ~doc)
@@ -370,7 +370,7 @@ let compare_cmd =
             name;
             fu_string s;
             warea s;
-            (match Core.Schedule.check s with Ok () -> "yes" | Error _ -> "NO");
+            (if Core.Schedule.check_diags s = [] then "yes" else "NO");
             via;
           ]
       | Error e -> [ name; "error: " ^ e; "-"; "-"; via ]

@@ -58,58 +58,33 @@ let check ?bus ?(share_mutex = true) ?latency dp ctrl ~delay =
                  | Some r -> Printf.sprintf "reg%d" r
                  | None -> "no register")))
     (Dfg.Graph.nodes g);
-  (* ALU occupancy under the authoritative delay model. *)
+  (* Unit occupancy under the authoritative delay model: an ALU, and a bank
+     port serving one access at a time. Ports always let exclusive accesses
+     share, as [Rtl.Datapath.bind_ports] binds them. *)
+  let conflicts ?share_mutex ~span ops =
+    Rtl.Check.unit_conflicts ?share_mutex
+      ~steps_overlap:(Rtl.Lifetime.steps_overlap ~latency) dp ~span ops
+  in
   List.iter
     (fun a ->
-      let span i =
-        if a.Rtl.Datapath.a_kind.Celllib.Library.stages > 1 then 1
-        else delay i
-      in
-      let rec pairs = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter
-              (fun j ->
-                if
-                  Core.Grid.steps_overlap ~latency (start i) (span i)
-                    (start j) (span j)
-                  && not (share_mutex && exclusive i j)
-                then
-                  add
-                    (internal
-                       ~nodes:[ name i; name j ]
-                       ~code:"lint.alu-conflict"
-                       "ALU %d runs %s and %s in overlapping steps"
-                       a.Rtl.Datapath.a_id (name i) (name j)))
-              rest;
-            pairs rest
-      in
-      pairs a.Rtl.Datapath.a_ops)
+      List.iter
+        (fun (i, j) ->
+          add
+            (internal ~nodes:[ name i; name j ] ~code:"lint.alu-conflict"
+               "ALU %d runs %s and %s in overlapping steps" a.Rtl.Datapath.a_id
+               (name i) (name j)))
+        (conflicts ~share_mutex ~span:(Rtl.Check.alu_span a ~delay)
+           a.Rtl.Datapath.a_ops))
     dp.Rtl.Datapath.alus;
-  (* Bank-port occupancy: a port serves one access at a time. *)
   List.iter
     (fun m ->
-      let rec pairs = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter
-              (fun j ->
-                if
-                  Core.Grid.steps_overlap ~latency (start i) (delay i)
-                    (start j) (delay j)
-                  && not (share_mutex && exclusive i j)
-                then
-                  add
-                    (internal
-                       ~nodes:[ name i; name j ]
-                       ~code:"mem.port-conflict"
-                       "bank %s port %d runs %s and %s in overlapping steps"
-                       m.Rtl.Datapath.m_bank m.Rtl.Datapath.m_port (name i)
-                       (name j)))
-              rest;
-            pairs rest
-      in
-      pairs m.Rtl.Datapath.m_ops)
+      List.iter
+        (fun (i, j) ->
+          add
+            (internal ~nodes:[ name i; name j ] ~code:"mem.port-conflict"
+               "bank %s port %d runs %s and %s in overlapping steps"
+               m.Rtl.Datapath.m_bank m.Rtl.Datapath.m_port (name i) (name j)))
+        (conflicts ~span:delay m.Rtl.Datapath.m_ops))
     dp.Rtl.Datapath.mems;
   (* Reaching definitions: every operand and guard of every micro-order. *)
   let clobbers ~reg ~from_edge ~upto_edge ~reader ~stored =

@@ -10,8 +10,9 @@
     - [lint.latch-mismatch] — a micro's latch edge differs from its finish
       step under the delay model, or its destination register differs from
       the allocation (catches [skew-delay]);
-    - [lint.alu-conflict] — two operations occupy one ALU in overlapping
-      (modulo-latency) step ranges without being mutually exclusive;
+    - [lint.alu-conflict] / [mem.port-conflict] — two operations occupy
+      one ALU, or one bank port, in overlapping (modulo-latency) step
+      ranges without being mutually exclusive ({!Rtl.Check.unit_conflicts});
     - [lint.operand-route] — an operand's declared source does not carry
       the producer's value (wrong register, wrong ALU, wrong input);
     - [lint.operand-not-ready] — a register read before the producer's
@@ -34,4 +35,6 @@ val check :
 (** [delay] is the authoritative delay model (the cell library's view);
     disagreements between it and the controller's recorded latch edges are
     findings. [bus] defaults to a fresh {!Rtl.Bus.allocate}; [share_mutex]
-    (default true) and [latency] mirror the scheduling configuration. *)
+    (default true) and [latency] mirror the scheduling configuration.
+    [share_mutex] governs ALUs only: bank ports always let exclusive
+    accesses share, as {!Rtl.Datapath.bind_ports} binds them. *)

@@ -1,128 +1,72 @@
 let internal ?nodes ~code fmt = Finding.error ?nodes Diag.Internal ~code fmt
 
 let schedule (s : Core.Schedule.t) =
-  let g = s.Core.Schedule.graph in
-  let fs = ref [] in
-  let add f = fs := f :: !fs in
+  let g = s.Core.Schedule.graph and config = s.Core.Schedule.config in
+  let start = s.Core.Schedule.start in
   let name i = (Dfg.Graph.node g i).Dfg.Graph.name in
-  let kind i = (Dfg.Graph.node g i).Dfg.Graph.kind in
-  let klass i = Dfg.Graph.node_class g (Dfg.Graph.node g i) in
-  let delay i = Core.Config.delay s.Core.Schedule.config (kind i) in
-  let span i = Core.Config.span s.Core.Schedule.config (kind i) in
-  let finish i = s.Core.Schedule.start.(i) + delay i - 1 in
-  let n = Dfg.Graph.num_nodes g in
-  for i = 0 to n - 1 do
-    if s.Core.Schedule.start.(i) < 1 then
-      add
-        (internal ~nodes:[ name i ] ~code:"lint.sched-start"
-           "op %s starts at step %d < 1" (name i) s.Core.Schedule.start.(i));
-    if finish i > s.Core.Schedule.cs then
-      add
-        (internal ~nodes:[ name i ] ~code:"lint.sched-horizon"
-           "op %s finishes at step %d past the %d-step horizon" (name i)
-           (finish i) s.Core.Schedule.cs);
-    List.iter
-      (fun p ->
-        let ok =
-          s.Core.Schedule.start.(i) >= s.Core.Schedule.start.(p) + delay p
-          || Core.Schedule.chain_allowed s p i
-        in
-        if not ok then
-          add
-            (internal
-               ~nodes:[ name i; name p ]
-               ~code:"lint.sched-precedence"
-               "op %s (start %d) reads %s before it finishes (step %d)"
-               (name i) s.Core.Schedule.start.(i) (name p) (finish p)))
-      (Dfg.Graph.preds g i)
-  done;
-  (match s.Core.Schedule.col with
-  | None -> ()
-  | Some col ->
-      let latency = s.Core.Schedule.config.Core.Config.functional_latency in
-      let exclusive i j =
-        s.Core.Schedule.config.Core.Config.share_mutex
-        && Dfg.Graph.mutually_exclusive g i j
-      in
-      for i = 0 to n - 1 do
-        if col.(i) < 1 then
-          add
-            (internal ~nodes:[ name i ] ~code:"lint.sched-col"
-               "op %s is bound to column %d < 1" (name i) col.(i));
-        for j = i + 1 to n - 1 do
-          if
-            String.equal (klass i) (klass j)
-            && col.(i) = col.(j)
-            && Core.Grid.steps_overlap ~latency s.Core.Schedule.start.(i)
-                 (span i) s.Core.Schedule.start.(j) (span j)
-            && not (exclusive i j)
-          then
-            add
-              (internal
-                 ~nodes:[ name i; name j ]
-                 ~code:"lint.fu-conflict"
-                 "ops %s and %s occupy %s unit %d in the same step" (name i)
-                 (name j) (klass i) col.(i))
-        done
-      done);
-  (* Post-schedule memory audit: re-derive a first-fit port binding per
-     bank. Needing more concurrent ports than the bank offers means the
-     scheduler let simultaneous accesses exceed the physical interface —
-     an internal defect, not an input problem. *)
-  let latency = s.Core.Schedule.config.Core.Config.functional_latency in
-  let exclusive i j =
-    s.Core.Schedule.config.Core.Config.share_mutex
-    && Dfg.Graph.mutually_exclusive g i j
+  let col i = (Option.get s.Core.Schedule.col).(i) in
+  let sched =
+    List.map
+      (function
+        | Core.Schedule.Start_range i ->
+            internal ~nodes:[ name i ] ~code:"lint.sched-start"
+              "op %s starts at step %d < 1" (name i) start.(i)
+        | Core.Schedule.Horizon i ->
+            internal ~nodes:[ name i ] ~code:"lint.sched-horizon"
+              "op %s finishes at step %d past the %d-step horizon" (name i)
+              (Core.Schedule.finish s i) s.Core.Schedule.cs
+        | Core.Schedule.Precedence (i, p) ->
+            internal ~nodes:[ name i; name p ] ~code:"lint.sched-precedence"
+              "op %s (start %d) reads %s before it finishes (step %d)"
+              (name i) start.(i) (name p) (Core.Schedule.finish s p)
+        | Core.Schedule.Col_range i ->
+            internal ~nodes:[ name i ] ~code:"lint.sched-col"
+              "op %s is bound to column %d < 1" (name i) (col i)
+        | Core.Schedule.Fu_conflict (i, j) ->
+            internal ~nodes:[ name i; name j ] ~code:"lint.fu-conflict"
+              "ops %s and %s occupy %s unit %d in the same step" (name i)
+              (name j)
+              (Dfg.Graph.node_class g (Dfg.Graph.node g i))
+              (col i))
+      (Core.Schedule.violations s)
   in
-  List.iter
-    (fun bank ->
-      let ports = Core.Config.bank_ports s.Core.Schedule.config g bank in
-      let accesses =
-        List.filter_map
-          (fun nd ->
-            if
-              Dfg.Op.is_mem nd.Dfg.Graph.kind
-              && String.equal
-                   (Dfg.Graph.node_class g nd)
-                   (Dfg.Graph.mem_class bank)
-            then Some nd.Dfg.Graph.id
-            else None)
-          (Dfg.Graph.nodes g)
-        |> List.sort (fun i j ->
-               compare
-                 (s.Core.Schedule.start.(i), i)
-                 (s.Core.Schedule.start.(j), j))
-      in
-      let needed =
-        List.length
-          (List.fold_left
-             (fun bound i ->
-               let fits p =
-                 List.for_all
-                   (fun j ->
-                     exclusive i j
-                     || not
-                          (Core.Grid.steps_overlap ~latency
-                             s.Core.Schedule.start.(i) (span i)
-                             s.Core.Schedule.start.(j) (span j)))
-                   p
-               in
-               let rec insert = function
-                 | [] -> [ [ i ] ]
-                 | p :: rest ->
-                     if fits p then (i :: p) :: rest else p :: insert rest
-               in
-               insert bound)
-             [] accesses)
-      in
-      if needed > ports then
-        add
-          (internal ~code:"mem.bank-conflict"
-             "bank %s needs %d concurrent port(s) in this schedule but \
-              offers %d"
-             bank needed ports))
-    (Dfg.Graph.bank_names g);
-  List.rev !fs
+  (* Post-schedule memory audit: the ports [Rtl.Datapath.bind_ports] binds
+     per bank. Needing more than the bank offers means the scheduler let
+     simultaneous accesses exceed the physical interface — an internal
+     defect, not an input problem. *)
+  let span i = Core.Config.span config (Dfg.Graph.node g i).Dfg.Graph.kind in
+  let banks =
+    List.filter_map
+      (fun bank ->
+        let ports = Core.Config.bank_ports config g bank in
+        let accesses =
+          List.filter_map
+            (fun nd ->
+              if
+                Dfg.Op.is_mem nd.Dfg.Graph.kind
+                && String.equal
+                     (Dfg.Graph.node_class g nd)
+                     (Dfg.Graph.mem_class bank)
+              then Some nd.Dfg.Graph.id
+              else None)
+            (Dfg.Graph.nodes g)
+        in
+        let needed =
+          List.length
+            (Rtl.Datapath.bind_ports
+               ?latency:config.Core.Config.functional_latency g ~start ~span
+               accesses)
+        in
+        if needed > ports then
+          Some
+            (internal ~code:"mem.bank-conflict"
+               "bank %s needs %d concurrent port(s) in this schedule but \
+                offers %d"
+               bank needed ports)
+        else None)
+      (Dfg.Graph.bank_names g)
+  in
+  sched @ banks
 
 let value_intervals (s : Core.Schedule.t) =
   let g = s.Core.Schedule.graph in
@@ -161,33 +105,12 @@ let lifetimes ?regs (s : Core.Schedule.t) =
   (match regs with
   | None -> ()
   | Some regs ->
-      let stored =
-        List.filter
-          (fun iv -> Rtl.Left_edge.register_of regs iv.Rtl.Lifetime.value <> None)
-          ivs
-      in
-      let rec pairs = function
-        | [] -> ()
-        | iv :: rest ->
-            List.iter
-              (fun iv' ->
-                let r = Rtl.Left_edge.register_of regs iv.Rtl.Lifetime.value in
-                if
-                  r = Rtl.Left_edge.register_of regs iv'.Rtl.Lifetime.value
-                  && Rtl.Lifetime.overlap iv iv'
-                then
-                  add
-                    (internal
-                       ~nodes:
-                         [ iv.Rtl.Lifetime.value; iv'.Rtl.Lifetime.value ]
-                       ~code:"lint.reg-lifetime-clash"
-                       "values %s and %s share reg%d while both are live"
-                       iv.Rtl.Lifetime.value iv'.Rtl.Lifetime.value
-                       (Option.value ~default:(-1) r)))
-              rest;
-            pairs rest
-      in
-      pairs stored;
+      List.iter
+        (fun (v, v', r) ->
+          add
+            (internal ~nodes:[ v; v' ] ~code:"lint.reg-lifetime-clash"
+               "values %s and %s share reg%d while both are live" v v' r))
+        (Rtl.Check.reg_clashes regs ivs);
       let bound = Rtl.Lifetime.max_overlap ivs in
       if regs.Rtl.Left_edge.count > bound then
         add

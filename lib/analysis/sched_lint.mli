@@ -4,15 +4,17 @@
 
     Codes: [lint.sched-start], [lint.sched-horizon] (catches
     [corrupt-start]), [lint.sched-precedence], [lint.sched-col],
-    [lint.fu-conflict] (catches [corrupt-col]); [lint.lifetime-horizon],
+    [lint.fu-conflict] (catches [corrupt-col]), [mem.bank-conflict]
+    (catches [collide-mem]); [lint.lifetime-horizon],
     [lint.reg-lifetime-clash], [lint.reg-overallocated] (warning);
     [lint.trace-monotone] (catches [corrupt-trace]), [lint.trace-positive]. *)
 
 val schedule : Core.Schedule.t -> Finding.t list
-(** Re-derivation of {!Core.Schedule.check_diags} as findings with node
-    attribution: start/horizon ranges, precedence under chaining, column
+(** {!Core.Schedule.violations} rendered as findings with node
+    attribution (start/horizon ranges, precedence under chaining, column
     ranges and FU-instance conflicts under modulo-latency folding and
-    mutex sharing. *)
+    mutex sharing), then [mem.bank-conflict] for each bank whose
+    {!Rtl.Datapath.bind_ports} binding needs more ports than it offers. *)
 
 val lifetimes : ?regs:Rtl.Left_edge.t -> Core.Schedule.t -> Finding.t list
 (** Live ranges of every value under the schedule. Flags values latched

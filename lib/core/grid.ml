@@ -197,17 +197,7 @@ let clear t =
   Hashtbl.reset t.by_op;
   t.next_seq <- 0
 
-(* Do step ranges [a, a+sa-1] and [b, b+sb-1] share a cell, folding steps
-   modulo [latency] when functional pipelining is active?  Spans are small
-   (operation cycle counts), so direct enumeration is fine. *)
-let steps_overlap ~latency a sa b sb =
-  match latency with
-  | None -> a < b + sb && b < a + sa
-  | Some l ->
-      let norm x = ((x - 1) mod l + l) mod l in
-      let cells_a = List.init sa (fun i -> norm (a + i)) in
-      let cells_b = List.init sb (fun i -> norm (b + i)) in
-      List.exists (fun c -> List.mem c cells_b) cells_a
+let steps_overlap = Rtl.Lifetime.steps_overlap
 
 (* Fold [f] over the occupant lists of every cell the candidate placement
    [col/step/span] touches. Under functional pipelining a candidate step

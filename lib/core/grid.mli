@@ -47,10 +47,8 @@ val clear : t -> unit
     allocated matrix. *)
 
 val steps_overlap : latency:int option -> int -> int -> int -> int -> bool
-(** [steps_overlap ~latency a sa b sb]: do step ranges [a, a+sa-1] and
-    [b, b+sb-1] share a cell, folding steps modulo [latency] when functional
-    pipelining is active? The single source of the occupancy-overlap
-    semantics, shared by MFS, MFSA, schedule validation and the baselines. *)
+(** {!Rtl.Lifetime.steps_overlap}, the single occupancy-overlap rule,
+    re-exported for the scheduler side. *)
 
 val conflicts :
   t -> latency:int option -> col:int -> step:int -> span:int -> int list

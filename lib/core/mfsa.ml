@@ -560,8 +560,8 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
                       !alus
                   in
                   match
-                    Rtl.Datapath.elaborate g ~start ~delay:node_delay ~cs
-                      ~assignments
+                    Rtl.Datapath.elaborate ?latency g ~start ~delay:node_delay
+                      ~cs ~assignments
                   with
                   | Error e ->
                       Error

@@ -27,7 +27,7 @@ val unfold :
 (** Materialise a folded schedule as overlapped loop initiations: instance
     [k] of the body starts [k*latency] steps after instance 0, on the same
     unit columns. The result is an ordinary (unfolded) schedule over
-    [cs + (instances-1)*latency] steps whose {!Schedule.check} certifies
+    [cs + (instances-1)*latency] steps whose {!Schedule.check_diags} certifies
     that the modulo-latency folding really is realisable as concurrent
     instances — the property §5.5.2's doubling construction establishes.
     [instances] defaults to enough copies to cover the steady state

@@ -115,67 +115,72 @@ let chain_allowed t p i =
       && t.offset.(i) +. 1e-9 >= t.offset.(p) +. pd p
       && t.offset.(i) +. pd i <= clock +. 1e-9
 
-(* Violations are typed diagnostics so the CLI, the static analyzer and the
-   harness all render through one code path; [check] below keeps the legacy
-   string surface as a thin projection. *)
-let check_diags t =
-  let errs = ref [] in
-  let add ~code fmt =
-    Printf.ksprintf (fun s -> errs := Diag.internal ~code s :: !errs) fmt
-  in
+type violation =
+  | Start_range of int
+  | Horizon of int
+  | Precedence of int * int
+  | Col_range of int
+  | Fu_conflict of int * int
+
+let violations t =
+  let found = ref [] in
+  let add v = found := v :: !found in
   let n = Dfg.Graph.num_nodes t.graph in
   for i = 0 to n - 1 do
-    let name = (Dfg.Graph.node t.graph i).Dfg.Graph.name in
-    if t.start.(i) < 1 then
-      add ~code:"schedule.start-range" "op %s starts at step %d < 1" name
-        t.start.(i);
-    if finish t i > t.cs then
-      add ~code:"schedule.horizon" "op %s finishes at step %d > horizon %d"
-        name (finish t i) t.cs;
+    if t.start.(i) < 1 then add (Start_range i);
+    if finish t i > t.cs then add (Horizon i);
     List.iter
       (fun p ->
-        let pname = (Dfg.Graph.node t.graph p).Dfg.Graph.name in
-        let ok =
-          t.start.(i) >= t.start.(p) + delay t p || chain_allowed t p i
-        in
-        if not ok then
-          add ~code:"schedule.precedence"
-            "precedence violated: %s (start %d) needs %s (finishes %d)" name
-            t.start.(i) pname (finish t p))
+        if not (t.start.(i) >= t.start.(p) + delay t p || chain_allowed t p i)
+        then add (Precedence (i, p)))
       (Dfg.Graph.preds t.graph i)
   done;
   (match t.col with
   | None -> ()
   | Some col ->
+      let klass =
+        Array.init n (fun i ->
+            Dfg.Graph.node_class t.graph (Dfg.Graph.node t.graph i))
+      in
       for i = 0 to n - 1 do
-        if col.(i) < 1 then
-          add ~code:"schedule.col-range" "op %s bound to column %d < 1"
-            (Dfg.Graph.node t.graph i).Dfg.Graph.name col.(i);
+        if col.(i) < 1 then add (Col_range i);
         for j = i + 1 to n - 1 do
-          let same_class =
-            String.equal
-              (Dfg.Graph.node_class t.graph (Dfg.Graph.node t.graph i))
-              (Dfg.Graph.node_class t.graph (Dfg.Graph.node t.graph j))
-          in
           if
-            same_class && col.(i) = col.(j)
+            col.(i) = col.(j)
+            && String.equal klass.(i) klass.(j)
             && cells_overlap t i j
             && not (exclusive t i j)
-          then
-            add ~code:"schedule.fu-conflict"
-              "FU conflict: %s and %s share %s unit %d"
-              (Dfg.Graph.node t.graph i).Dfg.Graph.name
-              (Dfg.Graph.node t.graph j).Dfg.Graph.name
-              (Dfg.Graph.node_class t.graph (Dfg.Graph.node t.graph i))
-              col.(i)
+          then add (Fu_conflict (i, j))
         done
       done);
-  List.rev !errs
+  List.rev !found
 
-let check t =
-  match check_diags t with
-  | [] -> Ok ()
-  | ds -> Error (List.map Diag.message ds)
+let check_diags t =
+  let name i = (Dfg.Graph.node t.graph i).Dfg.Graph.name in
+  let diag ~code fmt = Printf.ksprintf (Diag.internal ~code) fmt in
+  List.map
+    (function
+      | Start_range i ->
+          diag ~code:"schedule.start-range" "op %s starts at step %d < 1"
+            (name i) t.start.(i)
+      | Horizon i ->
+          diag ~code:"schedule.horizon"
+            "op %s finishes at step %d > horizon %d" (name i) (finish t i)
+            t.cs
+      | Precedence (i, p) ->
+          diag ~code:"schedule.precedence"
+            "precedence violated: %s (start %d) needs %s (finishes %d)"
+            (name i) t.start.(i) (name p) (finish t p)
+      | Col_range i ->
+          diag ~code:"schedule.col-range" "op %s bound to column %d < 1"
+            (name i)
+            (Option.get t.col).(i)
+      | Fu_conflict (i, j) ->
+          diag ~code:"schedule.fu-conflict"
+            "FU conflict: %s and %s share %s unit %d" (name i) (name j)
+            (Dfg.Graph.node_class t.graph (Dfg.Graph.node t.graph i))
+            (Option.get t.col).(i))
+    (violations t)
 
 let check_diag t =
   match check_diags t with

@@ -2,7 +2,7 @@
 
     A schedule assigns every DFG operation a start control step and (when the
     producer performs binding) an FU-instance column within its
-    single-function class. {!check} is the single source of truth for
+    single-function class. {!violations} is the single source of truth for
     validity used by unit tests, property tests, and integration tests — for
     MFS, MFSA projections and every baseline scheduler alike. *)
 
@@ -43,15 +43,28 @@ val chain_allowed : t -> int -> int -> bool
     the accumulated propagation delays fit the clock period. Always false
     without chaining. *)
 
-val check_diags : t -> Diag.t list
-(** All violations found, as typed internal diagnostics with stable
-    [schedule.*] codes: precedence (with chaining rules), horizon bounds,
-    and — when columns are bound — FU-instance conflicts, including the
-    modulo-latency conflicts of functional pipelining. Mutually-exclusive
-    operations may overlap when the configuration allows sharing. *)
+type violation =
+  | Start_range of int  (** Op starts before step 1. *)
+  | Horizon of int  (** Op finishes past the horizon. *)
+  | Precedence of int * int
+      (** [(i, p)]: op [i] reads predecessor [p] before it finishes (and
+          the pair may not chain). *)
+  | Col_range of int  (** Op bound to a column below 1. *)
+  | Fu_conflict of int * int
+      (** [(i, j)], [i < j]: same class and column, occupied cells overlap
+          (modulo the functional-pipelining latency) and the ops are not
+          allowed to share as mutually exclusive. *)
 
-val check : t -> (unit, string list) result
-(** Thin string projection of {!check_diags} for legacy callers. *)
+val violations : t -> violation list
+(** Every violation, per op in id order (start, horizon, then each
+    predecessor), followed — when columns are bound — by each op's column
+    range and its FU conflicts with higher ids. The one schedule-validity
+    audit: {!check_diags} and the static analyzer's schedule lint both
+    render it. *)
+
+val check_diags : t -> Diag.t list
+(** {!violations} as typed internal diagnostics with stable [schedule.*]
+    codes, in the same order. [[]] means the schedule is valid. *)
 
 val check_diag : t -> (unit, Diag.t) result
 (** {!check_diags} folded into a single [schedule.invalid] internal

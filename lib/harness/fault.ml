@@ -48,8 +48,8 @@ let corrupt_start s =
   if n = 0 then None
   else begin
     (* Push the last operation past the horizon: [finish > cs] is flagged
-       by {!Core.Schedule.check} under every option combination (chaining
-       and latency folding never relax the horizon). *)
+       by {!Core.Schedule.check_diags} under every option combination
+       (chaining and latency folding never relax the horizon). *)
     let start = Array.copy s.Core.Schedule.start in
     start.(n - 1) <- s.Core.Schedule.cs + 1;
     Some { s with Core.Schedule.start }

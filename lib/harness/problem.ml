@@ -79,8 +79,8 @@ let colbind_datapath lib config g s =
       groups []
   in
   let delay i = Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind in
-  Rtl.Datapath.elaborate g ~start:s.Core.Schedule.start ~delay
-    ~cs:s.Core.Schedule.cs ~assignments
+  Rtl.Datapath.elaborate ?latency:config.Core.Config.functional_latency g
+    ~start:s.Core.Schedule.start ~delay ~cs:s.Core.Schedule.cs ~assignments
 
 let colbind_cost ?widths p s =
   match colbind_datapath p.library p.config p.graph s with

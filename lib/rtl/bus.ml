@@ -61,8 +61,3 @@ let check_diags t =
         t.transfers)
     t.transfers;
   List.rev !errs
-
-let check t =
-  match check_diags t with
-  | [] -> Ok ()
-  | ds -> Error (List.map Diag.message ds)

@@ -33,6 +33,3 @@ val check_diags : t -> Diag.t list
 (** No two same-step transfers share a bus ([bus.conflict]), and every bus
     index is within range ([bus.range]) — the invariant tests rely on.
     Typed internal diagnostics. *)
-
-val check : t -> (unit, string list) result
-(** Thin string projection of {!check_diags} for legacy callers. *)

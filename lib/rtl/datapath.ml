@@ -92,7 +92,29 @@ let validate_assignments g assignments =
            (Dfg.Graph.node g i).Dfg.Graph.name)
   | None, None -> Ok ()
 
-let elaborate ?(include_inputs = true) g ~start ~delay ~cs ~assignments =
+let bind_ports ?latency g ~start ~span ops =
+  let ops =
+    List.sort
+      (fun i j ->
+        let c = compare start.(i) start.(j) in
+        if c <> 0 then c else compare i j)
+      ops
+  in
+  let fits i =
+    List.for_all (fun j ->
+        Dfg.Graph.mutually_exclusive g i j
+        || not
+             (Lifetime.steps_overlap ~latency start.(i) (span i) start.(j)
+                (span j)))
+  in
+  let rec insert i = function
+    | [] -> [ [ i ] ]
+    | p :: rest -> if fits i p then (i :: p) :: rest else p :: insert i rest
+  in
+  List.map List.rev (List.fold_left (fun ports i -> insert i ports) [] ops)
+
+let elaborate ?(include_inputs = true) ?latency g ~start ~delay
+    ~cs ~assignments =
   let* () = validate_assignments g assignments in
   let n = Dfg.Graph.num_nodes g in
   let ivs = Lifetime.intervals ~include_inputs g ~start ~delay ~cs in
@@ -101,10 +123,9 @@ let elaborate ?(include_inputs = true) g ~start ~delay ~cs ~assignments =
   List.iteri
     (fun a (_, ops) -> List.iter (fun i -> alu_of.(i) <- a) ops)
     assignments;
-  (* Bank-port binding: first-fit per bank in start order, so accesses
-     share a port exactly when their occupancy intervals are disjoint.
-     Port instances get pseudo-unit ids continuing after the ALU ids —
-     chained reads tag as [alu<id>] and reuse the wire machinery. *)
+  (* Bank-port binding by [bind_ports]. Port instances get pseudo-unit ids
+     continuing after the ALU ids — chained reads tag as [alu<id>] and
+     reuse the wire machinery. *)
   let mem_nodes =
     List.filter (fun nd -> Dfg.Op.is_mem nd.Dfg.Graph.kind) (Dfg.Graph.nodes g)
   in
@@ -120,32 +141,6 @@ let elaborate ?(include_inputs = true) g ~start ~delay ~cs ~assignments =
         let banks =
           List.sort_uniq String.compare
             (List.filter_map (Dfg.Graph.node_bank g) mem_nodes)
-        in
-        let bind_bank ops =
-          let ops =
-            List.sort
-              (fun i j ->
-                let c = compare start.(i) start.(j) in
-                if c <> 0 then c else compare i j)
-              ops
-          in
-          let overlap i j =
-            start.(i) + delay i - 1 >= start.(j)
-            && start.(j) + delay j - 1 >= start.(i)
-          in
-          let ports = ref ([] : int list list) in
-          List.iter
-            (fun i ->
-              let rec insert = function
-                | [] -> [ [ i ] ]
-                | p :: rest ->
-                    if List.for_all (fun j -> not (overlap i j)) p then
-                      (i :: p) :: rest
-                    else p :: insert rest
-              in
-              ports := insert !ports)
-            ops;
-          List.map List.rev !ports
         in
         let next = ref (List.length assignments) in
         Ok
@@ -164,7 +159,7 @@ let elaborate ?(include_inputs = true) g ~start ~delay ~cs ~assignments =
                    let id = !next in
                    incr next;
                    { m_id = id; m_bank = b; m_port = k; m_ops = port_ops })
-                 (bind_bank ops))
+                 (bind_ports ?latency g ~start ~span:delay ops))
              banks)
   in
   List.iter

@@ -45,18 +45,29 @@ type t = {
           pseudo-unit id. *)
   regs : Left_edge.t;  (** Register allocation over value lifetimes. *)
   mems : mem_port list;
-      (** Bank ports in use, bound first-fit from the schedule. *)
+      (** Bank ports in use, bound by {!bind_ports} from the schedule. *)
   operand_sources : (int * source list) list;
       (** Resolved operand sources per node, in operand order. *)
 }
 
+val bind_ports :
+  ?latency:int -> Dfg.Graph.t -> start:int array -> span:(int -> int) ->
+  int list -> int list list
+(** First-fit port binding of one bank's accesses: in (start, id) order,
+    each access joins the first port whose every access is mutually
+    exclusive with it or occupies no common step under
+    {!Lifetime.steps_overlap} [~latency]. Returns the ports' accesses by
+    start step; its length is the ports the bank needs in this schedule. *)
+
 val elaborate :
-  ?include_inputs:bool -> Dfg.Graph.t -> start:int array ->
+  ?include_inputs:bool -> ?latency:int -> Dfg.Graph.t -> start:int array ->
   delay:(int -> int) -> cs:int ->
   assignments:(Celllib.Library.alu_kind * int list) list ->
   (t, string) result
-(** Build the netlist from a schedule and an op→ALU assignment. Errors when
-    an assignment references an unknown node, omits or duplicates a node, or
+(** Build the netlist from a schedule and an op→ALU assignment, binding
+    each bank's accesses to ports with {!bind_ports}; [latency] is the
+    scheduling configuration's. Errors when an
+    assignment references an unknown node, omits or duplicates a node, or
     puts an operation on a unit that cannot execute it. *)
 
 val source_tag : source -> string

@@ -45,6 +45,17 @@ let intervals ?(include_inputs = true) ?(hold_outputs = true) g ~start ~delay
 
 let overlap a b = a.birth <= b.death && b.birth <= a.death
 
+(* Spans are small (operation cycle counts), so direct enumeration of the
+   folded cells is fine. *)
+let steps_overlap ~latency a sa b sb =
+  match latency with
+  | None -> a < b + sb && b < a + sa
+  | Some l ->
+      let norm x = ((x - 1) mod l + l) mod l in
+      let cells_a = List.init sa (fun i -> norm (a + i)) in
+      let cells_b = List.init sb (fun i -> norm (b + i)) in
+      List.exists (fun c -> List.mem c cells_b) cells_a
+
 let max_overlap ivs =
   let live = List.filter needs_register ivs in
   let boundaries =

@@ -27,6 +27,13 @@ val overlap : interval -> interval -> bool
 (** Whether two register-needing intervals share a boundary (cannot share a
     register). *)
 
+val steps_overlap : latency:int option -> int -> int -> int -> int -> bool
+(** [steps_overlap ~latency a sa b sb]: do step ranges [a, a+sa-1] and
+    [b, b+sb-1] share a cell, folding steps modulo [latency] when functional
+    pipelining is active? The single source of the occupancy-overlap rule:
+    MFS, MFSA, schedule validation, the baselines, port binding and the
+    datapath audits all use it ([Core.Grid.steps_overlap] re-exports it). *)
+
 val max_overlap : interval list -> int
 (** Peak number of simultaneously-live values — the lower bound on register
     count, met exactly by {!Left_edge.allocate}. *)

@@ -117,7 +117,9 @@ let emit ?(module_name = "design") ?widths dp ctrl =
         | _ -> ())
     ctrl.Controller.micros;
   add "    end\n  end\n";
-  (* Combinational ALU outputs: a per-state operand selection. *)
+  (* Combinational ALU outputs: a per-state operand selection. Each arm
+     carries its op's guards, as its latch line does: exclusive ops sharing
+     a unit in one state are told apart by their conditions. *)
   List.iter
     (fun a ->
       let cases =
@@ -138,8 +140,9 @@ let emit ?(module_name = "design") ?widths dp ctrl =
                   (source_expr y)
             | _ -> Printf.sprintf "%d'hx" (alu_width a)
           in
-          add "    (state == %d) ? %s : // %s\n" m.Controller.m_step expr
-            nd.Dfg.Graph.name)
+          add "    (state == %d%s) ? %s : // %s\n" m.Controller.m_step
+            (guard_expr m.Controller.m_guards)
+            expr nd.Dfg.Graph.name)
         cases;
       add "    %d'hx;\n" (alu_width a))
     dp.Datapath.alus;
@@ -165,8 +168,9 @@ let emit ?(module_name = "design") ?widths dp ctrl =
                 source_expr data
             | _ -> "32'hx"
           in
-          add "    (state == %d) ? %s : // %s\n" mi.Controller.m_step expr
-            nd.Dfg.Graph.name)
+          add "    (state == %d%s) ? %s : // %s\n" mi.Controller.m_step
+            (guard_expr mi.Controller.m_guards)
+            expr nd.Dfg.Graph.name)
         cases;
       add "    32'hx;\n")
     dp.Datapath.mems;

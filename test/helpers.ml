@@ -47,10 +47,11 @@ let check_ok what = function
   | Error msg -> Alcotest.failf "%s failed: %s" what msg
 
 let check_schedule s =
-  match Core.Schedule.check s with
-  | Ok () -> ()
-  | Error errs ->
-      Alcotest.failf "schedule invalid: %s" (String.concat "; " errs)
+  match Core.Schedule.check_diags s with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "schedule invalid: %s"
+        (String.concat "; " (List.map Diag.message ds))
 
 let check_err what = function
   | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" what

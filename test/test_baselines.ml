@@ -104,7 +104,7 @@ let colbind_valid_random =
       let cs = Dfg.Bounds.critical_path g + 1 in
       match Baselines.List_sched.time g ~cs with
       | Error _ -> false
-      | Ok s -> Core.Schedule.check s = Ok ())
+      | Ok s -> Core.Schedule.check_diags s = [])
 
 let rc_random_within_limits =
   Helpers.qcheck ~count:60 "list RC respects limits on random DAGs"
@@ -114,7 +114,7 @@ let rc_random_within_limits =
       match Baselines.List_sched.resource g ~limits with
       | Error _ -> false
       | Ok s ->
-          Core.Schedule.check s = Ok ()
+          Core.Schedule.check_diags s = []
           && List.for_all (fun (c, u) -> Helpers.fu_count s c <= u) limits)
 
 let suite =

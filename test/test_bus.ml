@@ -17,9 +17,11 @@ let diamond_buses () =
   Alcotest.(check int) "peak transfers" 4 b.Rtl.Bus.buses;
   Alcotest.(check int) "step 1 load" 4 b.Rtl.Bus.per_step.(1);
   Alcotest.(check int) "step 2 load" 2 b.Rtl.Bus.per_step.(2);
-  (match Rtl.Bus.check b with
-  | Ok () -> ()
-  | Error errs -> Alcotest.failf "invalid: %s" (String.concat ";" errs));
+  (match Rtl.Bus.check_diags b with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "invalid: %s"
+        (String.concat ";" (List.map Diag.message ds)));
   Alcotest.(check bool) "cost positive" true (Rtl.Bus.cost b > 0.)
 
 let chained_operands_skip_buses () =
@@ -65,7 +67,7 @@ let bus_validity_random =
       | Error _ -> false
       | Ok o ->
           let b = Rtl.Bus.allocate o.Core.Mfsa.datapath in
-          Rtl.Bus.check b = Ok ()
+          Rtl.Bus.check_diags b = []
           && b.Rtl.Bus.buses
              = Array.fold_left max 0 b.Rtl.Bus.per_step)
 

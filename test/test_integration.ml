@@ -155,7 +155,7 @@ let guarded_random_flow =
             Core.Config.delay o.Core.Mfsa.schedule.Core.Schedule.config
               (Dfg.Graph.node g i).Dfg.Graph.kind
           in
-          Core.Schedule.check o.Core.Mfsa.schedule = Ok ()
+          Core.Schedule.check_diags o.Core.Mfsa.schedule = []
           && Rtl.Check.datapath o.Core.Mfsa.datapath ~delay = Ok ()
           &&
           match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
@@ -192,7 +192,7 @@ let wide_kind_flow =
       | Error _ -> false
       | Ok o -> (
           let delay _ = 1 in
-          Core.Schedule.check o.Core.Mfsa.schedule = Ok ()
+          Core.Schedule.check_diags o.Core.Mfsa.schedule = []
           &&
           match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
           | Error _ -> false

@@ -338,6 +338,110 @@ let colbind_binds_banked_examples () =
         ])
     [ "fir4mem.dfg"; "ewfmem.dfg" ]
 
+(* --- Port binding under folding and mutual exclusion -------------------- *)
+
+(* The shipped memory examples over latency x budget x port count: wherever
+   MFSA succeeds, the bank ports [elaborate] binds pass the RTL audit run
+   with the same latency, and the schedule audit counts no more ports than
+   the bank offers. *)
+let ports_bound_under_folding () =
+  List.iter
+    (fun file ->
+      let g =
+        Helpers.check_okd "parse"
+          (Dfg.Parser.parse_file (Test_data_files.data file))
+      in
+      List.iter
+        (fun (latency, budget, ports) ->
+          let p = Harness.Problem.make ?latency ?ports g in
+          let config = p.Harness.Problem.config in
+          let delay = Harness.Problem.delay p in
+          match
+            Core.Mfsa.run ~config ~library:p.Harness.Problem.library
+              ~cs:(Harness.Problem.cs p budget) g
+          with
+          | Error _ -> ()
+          | Ok o ->
+              let dp = o.Core.Mfsa.datapath in
+              let ctrl =
+                Helpers.check_ok "controller"
+                  (Rtl.Controller.generate dp ~delay)
+              in
+              let fs =
+                Analysis.Runner.post_schedule o.Core.Mfsa.schedule
+                @ Analysis.Runner.post_rtl
+                    ~share_mutex:config.Core.Config.share_mutex ?latency dp
+                    ctrl ~delay
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s latency=%s cs=%d ports=%s" file
+                   (Option.fold ~none:"none" ~some:string_of_int latency)
+                   budget
+                   (Option.fold ~none:"default" ~some:string_of_int ports))
+                []
+                (List.filter
+                   (fun c -> c = "mem.port-conflict" || c = "mem.bank-conflict")
+                   (codes fs)))
+        (List.concat_map
+           (fun latency ->
+             List.concat_map
+               (fun budget ->
+                 List.map
+                   (fun ports -> (latency, budget, ports))
+                   [ None; Some 1; Some 2 ])
+               [ 0; 10; 14 ])
+           [ None; Some 2; Some 3; Some 4; Some 5; Some 6; Some 8 ]))
+    [ "fir4mem.dfg"; "ewfmem.dfg" ]
+
+(* Two exclusive loads of a 1-port bank in one step share its one port:
+   the schedule counts one port, so the netlist must bind (and price) one. *)
+let exclusive_accesses_share_a_port () =
+  let g =
+    parse_exn
+      "input i j c x\n\
+       range i 0 0\n\
+       range j 1 1\n\
+       array A 2 bank AB\n\
+       mem AB ports 1\n\
+       t = ld A i @ c\n\
+       f = ld A j @ !c\n\
+       ut = + t x @ c\n\
+       uf = + f x @ !c\n"
+  in
+  let lib = Celllib.Ncr.for_graph g in
+  let o =
+    Helpers.check_okd "mfsa"
+      (Core.Mfsa.run ~config:(Core.Config.of_library lib) ~library:lib ~cs:2 g)
+  in
+  Alcotest.(check (list (pair string int)))
+    "the schedule shares the port" [ ("mem:AB", 1); ("+", 1) ]
+    (Core.Schedule.fu_counts o.Core.Mfsa.schedule);
+  let dp = o.Core.Mfsa.datapath in
+  Alcotest.(check (list string)) "one port, serving both loads" [ "t,f" ]
+    (List.map
+       (fun m ->
+         String.concat ","
+           (List.map
+              (fun i -> (Dfg.Graph.node g i).Dfg.Graph.name)
+              m.Rtl.Datapath.m_ops))
+       dp.Rtl.Datapath.mems);
+  Alcotest.(check int) "priced as a 1-port RAM" 1
+    o.Core.Mfsa.cost.Rtl.Cost.n_mem_ports;
+  let ctrl =
+    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+  in
+  Alcotest.(check (list string)) "RTL audit clean" []
+    (codes (Analysis.Runner.post_rtl dp ctrl ~delay:unit_delay));
+  (* [share_mutex] governs ALUs only: the shared adder is flagged, the
+     shared port, bound by [bind_ports] whatever the flag, is not. *)
+  Alcotest.(check (list string)) "no sharing: only the ALU is flagged"
+    [ "lint.alu-conflict" ]
+    (codes
+       (Analysis.Runner.post_rtl ~share_mutex:false dp ctrl ~delay:unit_delay));
+  match Sim.Equiv.check_random ~runs:10 dp ctrl with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "equivalence failed: %s" (Diag.to_string d)
+
 (* --- Explore ports axis ------------------------------------------------ *)
 
 let explore_ports_axis () =
@@ -373,5 +477,9 @@ let suite =
     test "sim: store/load round-trip through the machine" store_then_load_through_machine;
     test "colbind: banked MFS/list schedules bind and simulate"
       colbind_binds_banked_examples;
+    test "elaborate: ports bound under folding, audit-clean"
+      ports_bound_under_folding;
+    test "elaborate: exclusive accesses share one port"
+      exclusive_accesses_share_a_port;
     test "explore: ports axis expands distinct points" explore_ports_axis;
   ]

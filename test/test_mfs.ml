@@ -289,7 +289,7 @@ let random_dags_valid =
       match Core.Mfs.run g (Core.Mfs.Time { cs = cp + 1 }) with
       | Error _ -> false
       | Ok o ->
-          Core.Schedule.check o.Core.Mfs.schedule = Ok ()
+          Core.Schedule.check_diags o.Core.Mfs.schedule = []
           && Core.Liapunov.Trace.non_increasing o.Core.Mfs.trace
           && Core.Liapunov.Trace.positive o.Core.Mfs.trace)
 
@@ -305,7 +305,7 @@ let random_multicycle_valid =
       let cp = Dfg.Bounds.critical_path ~delays:(Core.Config.delay config) g in
       match Core.Mfs.run ~config g (Core.Mfs.Time { cs = cp + 1 }) with
       | Error _ -> false
-      | Ok o -> Core.Schedule.check o.Core.Mfs.schedule = Ok ())
+      | Ok o -> Core.Schedule.check_diags o.Core.Mfs.schedule = [])
 
 let random_chained_valid =
   Helpers.qcheck ~count:50 "MFS handles chaining on random DAGs"
@@ -322,7 +322,7 @@ let random_chained_valid =
       let cs = Core.Timeframe.min_cs config g in
       match Core.Mfs.run ~config g (Core.Mfs.Time { cs }) with
       | Error _ -> false
-      | Ok o -> Core.Schedule.check o.Core.Mfs.schedule = Ok ())
+      | Ok o -> Core.Schedule.check_diags o.Core.Mfs.schedule = [])
 
 let random_resource_valid =
   Helpers.qcheck ~count:50 "resource-constrained MFS respects limits"
@@ -332,7 +332,7 @@ let random_resource_valid =
       match Core.Mfs.run g (Core.Mfs.Resource { limits }) with
       | Error _ -> false
       | Ok o ->
-          Core.Schedule.check o.Core.Mfs.schedule = Ok ()
+          Core.Schedule.check_diags o.Core.Mfs.schedule = []
           && List.for_all
                (fun (c, u) ->
                  Option.value ~default:0

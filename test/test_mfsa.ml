@@ -280,7 +280,7 @@ let random_dags_synthesise =
       match Core.Mfsa.run ~library:lib ~cs g with
       | Error _ -> false
       | Ok o -> (
-          Core.Schedule.check o.Core.Mfsa.schedule = Ok ()
+          Core.Schedule.check_diags o.Core.Mfsa.schedule = []
           &&
           let delay i =
             Core.Config.delay o.Core.Mfsa.schedule.Core.Schedule.config

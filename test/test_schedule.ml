@@ -2,6 +2,12 @@ let test name f = Alcotest.test_case name `Quick f
 
 let cfg = Core.Config.default
 
+(* The violation messages of an invalid schedule. *)
+let check_errs what s =
+  match List.map Diag.message (Core.Schedule.check_diags s) with
+  | [] -> Alcotest.failf "%s unexpectedly succeeded" what
+  | errs -> errs
+
 let mk ?col ?config g ~cs start =
   Core.Schedule.make ?col
     ~config:(Option.value ~default:cfg config)
@@ -18,28 +24,28 @@ let valid_diamond () =
 let precedence_violation () =
   let g = Helpers.diamond () in
   let s = mk g ~cs:2 [ 1; 2; 2 ] ~col:[| 1; 1; 1 |] in
-  let errs = Helpers.check_err "precedence" (Core.Schedule.check s) in
+  let errs = check_errs "precedence" s in
   Alcotest.(check bool) "mentions precedence" true
     (List.exists (Helpers.contains ~sub:"precedence") errs)
 
 let horizon_violation () =
   let g = Helpers.diamond () in
   let s = mk g ~cs:1 [ 1; 1; 2 ] ~col:[| 1; 2; 1 |] in
-  let errs = Helpers.check_err "horizon" (Core.Schedule.check s) in
+  let errs = check_errs "horizon" s in
   Alcotest.(check bool) "mentions horizon" true
     (List.exists (Helpers.contains ~sub:"horizon") errs)
 
 let start_below_one () =
   let g = Helpers.diamond () in
   let s = mk g ~cs:2 [ 0; 1; 2 ] ~col:[| 1; 2; 1 |] in
-  let errs = Helpers.check_err "start" (Core.Schedule.check s) in
+  let errs = check_errs "start" s in
   Alcotest.(check bool) "start < 1 caught" true
     (List.exists (Helpers.contains ~sub:"< 1") errs)
 
 let fu_conflict () =
   let g = Helpers.diamond () in
   let s = mk g ~cs:2 [ 1; 1; 2 ] ~col:[| 1; 1; 1 |] in
-  let errs = Helpers.check_err "conflict" (Core.Schedule.check s) in
+  let errs = check_errs "conflict" s in
   Alcotest.(check bool) "FU conflict caught" true
     (List.exists (Helpers.contains ~sub:"FU conflict") errs)
 
@@ -50,7 +56,7 @@ let multicycle_conflict () =
   let g = Helpers.diamond () in
   (* m1 occupies steps 1-2; m2 starting at 2 on the same unit clashes. *)
   let s = mk ~config g ~cs:4 [ 1; 2; 4 ] ~col:[| 1; 1; 1 |] in
-  let errs = Helpers.check_err "mc conflict" (Core.Schedule.check s) in
+  let errs = check_errs "mc conflict" s in
   Alcotest.(check bool) "overlap caught" true
     (List.exists (Helpers.contains ~sub:"FU conflict") errs);
   (* On separate units it is fine. *)
@@ -68,7 +74,7 @@ let latency_conflict () =
   in
   (* Steps 1 and 3 fold together under latency 2. *)
   let bad = mk ~config g ~cs:3 [ 1; 3 ] ~col:[| 1; 1 |] in
-  let errs = Helpers.check_err "folded clash" (Core.Schedule.check bad) in
+  let errs = check_errs "folded clash" bad in
   Alcotest.(check bool) "caught" true
     (List.exists (Helpers.contains ~sub:"FU conflict") errs);
   let good = mk ~config g ~cs:3 [ 1; 3 ] ~col:[| 1; 2 |] in
@@ -94,7 +100,7 @@ let mutex_overlap_allowed () =
   (* With sharing disabled the same schedule is rejected. *)
   let no_share = { cfg with Core.Config.share_mutex = false } in
   let s2 = Core.Schedule.make ~col ~config:no_share ~cs:3 g start in
-  let errs = Helpers.check_err "no sharing" (Core.Schedule.check s2) in
+  let errs = check_errs "no sharing" s2 in
   Alcotest.(check bool) "conflict without sharing" true (errs <> [])
 
 let chaining_precedence () =
@@ -125,7 +131,7 @@ let chaining_offset_violation () =
     Core.Schedule.make ~col:[| 1; 2; 3; 1 |]
       ~offset:[| 0.; 40.; 80.; 0. |] ~config ~cs:2 g [| 1; 1; 1; 2 |]
   in
-  let errs = Helpers.check_err "over-chained" (Core.Schedule.check s) in
+  let errs = check_errs "over-chained" s in
   Alcotest.(check bool) "precedence rejected" true
     (List.exists (Helpers.contains ~sub:"precedence") errs)
 

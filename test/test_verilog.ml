@@ -77,10 +77,42 @@ let guards_in_rtl () =
   Alcotest.(check bool) "guard condition appears" true
     (Helpers.contains ~sub:"c1 != 0" src)
 
+(* t3 and t5 are exclusive multiplies sharing one unit in one state: the
+   unit's output mux must select t5 only on its own arm, or reg latching
+   t5 takes t3's product whenever c1 is false. *)
+let guards_in_mux_arms () =
+  let g = Workloads.Classic.cond_example () in
+  let lib = Celllib.Ncr.for_graph g in
+  let o =
+    Helpers.check_okd "mfsa"
+      (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
+  in
+  let ctrl =
+    Helpers.check_ok "controller"
+      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+  in
+  let lines =
+    String.split_on_char '\n' (Rtl.Verilog.emit o.Core.Mfsa.datapath ctrl)
+  in
+  let t5_lines sub =
+    List.filter
+      (fun l ->
+        String.ends_with ~suffix:"// t5" l && Helpers.contains ~sub l)
+      lines
+  in
+  let arm = t5_lines " ? " and latch = t5_lines "<=" in
+  Alcotest.(check int) "one mux arm for t5" 1 (List.length arm);
+  Alcotest.(check int) "one latch line for t5" 1 (List.length latch);
+  Alcotest.(check bool) "t5's mux arm carries !c1" true
+    (Helpers.contains ~sub:"(!c1 != 0)) ? " (List.hd arm));
+  Alcotest.(check bool) "so does its latch line" true
+    (Helpers.contains ~sub:"(!c1 != 0)) reg_" (List.hd latch))
+
 let suite =
   [
     test "module structure" structure;
     test "every op appears in the netlist" all_nodes_present;
     test "identifiers sanitised" sanitizer;
     test "guards gate register writes" guards_in_rtl;
+    test "guards select shared units' mux arms" guards_in_mux_arms;
   ]
