@@ -594,15 +594,34 @@ let audit_gate () =
       else []
   | None -> [ "could not fit the audits' exponent" ]
 
+(* A gate row's kernel time [f] and yardstick time [g], measured in
+   alternation after one warm-up each and a major collection, best of
+   [reps] each: a change in the machine's load during the row slows both. *)
+let time_paired ?(reps = 5) f g =
+  ignore (time_once f);
+  ignore (time_once g);
+  Gc.major ();
+  let rec go bf bg k =
+    if k = 0 then (bf, bg)
+    else go (Float.min bf (time_once f)) (Float.min bg (time_once g)) (k - 1)
+  in
+  go infinity infinity reps
+
 (* Reads the committed BENCH_scaling.json (never writes it — CI checks the
    tree stays clean), re-measures the same sizes, and fails when the kernel
    regresses.  kernel_ms is the per-attempt time on both sides, so a change
    in the restart count shows up as a total_ms shift without corrupting the
-   comparison.  Thresholds: a row fails when its fresh kernel_ms exceeds
-   the committed one by more than 25% plus a 0.5 ms absolute slack (sub-ms
-   rows would otherwise flake on scheduler jitter), and the freshly fitted
-   exponent must stay at or below 1.15.  The audits' exponent
-   ([audit_gate]) must stay at or below 2.4. *)
+   comparison.  Each committed row is first rescaled by this machine's
+   speed, measured beside the row: the fresh/committed time ratio of the
+   yardstick, the frozen seed oracle ([Reference.Seed_mfs]) on the largest
+   tier whose time the file records.  No change to the kernel can move the
+   yardstick, so a slower or faster runner compares like with like.
+   Thresholds: a row
+   fails when its fresh kernel_ms exceeds the rescaled committed one by
+   more than 25% plus a 0.5 ms absolute slack (sub-ms rows would otherwise
+   flake on scheduler jitter), and the freshly fitted exponent must stay at
+   or below 1.15.  The audits' exponent ([audit_gate]) must stay at or
+   below 2.4. *)
 let gate () =
   print_endline
     "== Bench gate: kernel_ms and exponent vs committed, audit growth ==";
@@ -623,7 +642,8 @@ let gate () =
         List.filter_map
           (fun r ->
             match (Batch.Jsonl.int "ops" r, Batch.Jsonl.float "kernel_ms" r) with
-            | Some ops, Some ms -> Some (ops, ms)
+            | Some ops, Some ms ->
+                Some (ops, ms, Batch.Jsonl.float "seed_kernel_ms" r)
             | _ -> None)
           rows
     | _ ->
@@ -634,31 +654,73 @@ let gate () =
     Printf.eprintf "bench gate: no usable rows in %s\n" scaling_json;
     exit 1
   end;
-  let measurements = measure_scaling (List.map fst committed) in
-  let fit = scaling_fit measurements in
+  let yard_ops, yard_ms =
+    match
+      List.filter_map
+        (fun (ops, _, seed) -> Option.map (fun ms -> (ops, ms)) seed)
+        committed
+      |> List.sort compare |> List.rev
+    with
+    | y :: _ -> y
+    | [] ->
+        Printf.eprintf "bench gate: no row of %s records seed_kernel_ms\n"
+          scaling_json;
+        exit 1
+  in
+  let yardstick =
+    let g, cs = scaling_graph yard_ops in
+    fun () ->
+      ignore (ok (Reference.Seed_mfs.schedule g (Core.Mfs.Time { cs })))
+  in
+  Printf.printf "yardstick: the seed oracle at %d ops, committed %.3f ms\n"
+    yard_ops yard_ms;
   let failures = ref [] in
+  let measured =
+    List.map
+      (fun (ops, committed_ms, _) ->
+        let g, cs = scaling_graph ops in
+        let attempts =
+          (okd (Core.Mfs.run g (Core.Mfs.Time { cs }))).Core.Mfs.restarts + 1
+        in
+        let t, t_yard =
+          time_paired
+            (fun () -> ignore (okd (Core.Mfs.schedule g (Core.Mfs.Time { cs }))))
+            yardstick
+        in
+        (ops, committed_ms, t_yard *. 1e3 /. yard_ms,
+         t *. 1e3 /. float_of_int attempts))
+      committed
+  in
+  let fit =
+    fitted_exponent
+      (List.map (fun (ops, _, _, fresh_ms) -> (ops, fresh_ms)) measured)
+  in
   let rows =
-    List.map2
-      (fun (ops, committed_ms) m ->
-        let fresh_ms = per_attempt m *. 1e3 in
-        let limit = (committed_ms *. 1.25) +. 0.5 in
+    List.map
+      (fun (ops, committed_ms, speed, fresh_ms) ->
+        let rescaled_ms = committed_ms *. speed in
+        let limit = (rescaled_ms *. 1.25) +. 0.5 in
         let ok = fresh_ms <= limit in
         if not ok then
           failures :=
             Printf.sprintf
-              "ops=%d: kernel_ms %.3f exceeds committed %.3f by more than \
-               25%% (+0.5ms slack)"
-              ops fresh_ms committed_ms
+              "ops=%d: kernel_ms %.3f exceeds rescaled committed %.3f by \
+               more than 25%% (+0.5ms slack)"
+              ops fresh_ms rescaled_ms
             :: !failures;
         [ string_of_int ops;
           Printf.sprintf "%.2f" committed_ms;
+          Printf.sprintf "%.2fx" speed;
+          Printf.sprintf "%.2f" rescaled_ms;
           Printf.sprintf "%.2f" fresh_ms;
           (if ok then "ok" else "REGRESSED") ])
-      committed measurements
+      measured
   in
   print_string
     (Report.Table.render
-       ~header:[ "ops"; "committed (ms)"; "fresh (ms)"; "verdict" ]
+       ~header:
+         [ "ops"; "committed (ms)"; "speed"; "rescaled (ms)"; "fresh (ms)";
+           "verdict" ]
        rows);
   (match fit with
   | Some b ->

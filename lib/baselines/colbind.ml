@@ -1,13 +1,14 @@
 let columns cfg g ~start =
   let n = Dfg.Graph.num_nodes g in
   let col = Array.make n 0 in
-  let latency = cfg.Core.Config.functional_latency in
-  let exclusive i j =
-    cfg.Core.Config.share_mutex && Dfg.Graph.mutually_exclusive g i j
+  let steps_overlap =
+    Core.Grid.steps_overlap ~latency:cfg.Core.Config.functional_latency
   in
   let span i = Core.Config.span cfg (Dfg.Graph.node g i).Dfg.Graph.kind in
-  let overlap i j =
-    Core.Grid.steps_overlap ~latency start.(i) (span i) start.(j) (span j)
+  let clash i j =
+    Rtl.Lifetime.clash ~steps_overlap
+      ~exclusive:(Core.Config.exclusive cfg g i j)
+      start.(i) (span i) start.(j) (span j)
   in
   List.iter
     (fun c ->
@@ -29,11 +30,7 @@ let columns cfg g ~start =
                 packed := !packed @ [ [ i ] ];
                 col.(i) <- k + 1
             | occupants :: rest ->
-                if
-                  List.for_all
-                    (fun j -> exclusive i j || not (overlap i j))
-                    occupants
-                then begin
+                if List.for_all (fun j -> not (clash i j)) occupants then begin
                   packed :=
                     List.mapi
                       (fun k' o -> if k' = k then i :: o else o)

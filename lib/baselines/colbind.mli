@@ -4,6 +4,6 @@
     produces and go through the same {!Core.Schedule.check_diags}. *)
 
 val columns : Core.Config.t -> Dfg.Graph.t -> start:int array -> int array
-(** 1-based column per node; mutually-exclusive operations may share a
-    column cell when the configuration allows it, and functional-latency
-    folding is honoured. *)
+(** 1-based column per node: each op joins the first column holding no
+    op it clashes with under {!Rtl.Lifetime.clash}, with the
+    configuration's latency and {!Core.Config.exclusive}. *)

@@ -24,16 +24,25 @@ let default =
     mem_ports = None;
   }
 
+(* The pipelined kinds are found once, not per call: [span] is asked for
+   every pair of ops the audits compare, and [Celllib.Library.candidates]
+   builds a fresh sorted list. *)
 let of_library lib =
-  {
-    default with
-    delays = lib.Celllib.Library.cycles;
-    pipelined =
+  let pipelined =
+    List.filter
       (fun kind ->
         match Celllib.Library.candidates lib kind with
         | [] -> false
-        | cands -> List.for_all (fun a -> a.Celllib.Library.stages > 1) cands);
+        | cands -> List.for_all (fun a -> a.Celllib.Library.stages > 1) cands)
+      Dfg.Op.all
+  in
+  {
+    default with
+    delays = lib.Celllib.Library.cycles;
+    pipelined = (fun kind -> List.mem kind pipelined);
   }
+
+let exclusive t g i j = t.share_mutex && Dfg.Graph.mutually_exclusive g i j
 
 let delay t kind = max 1 (t.delays kind)
 let span t kind = if t.pipelined kind then 1 else delay t kind

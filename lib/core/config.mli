@@ -42,6 +42,10 @@ val of_library : Celllib.Library.t -> t
 (** Delays and pipelining flags taken from a cell library: a kind is
     pipelined when every library unit implementing it is multi-stage. *)
 
+val exclusive : t -> Dfg.Graph.t -> int -> int -> bool
+(** [exclusive t g i j]: [share_mutex] is on and ops [i] and [j] are
+    mutually exclusive, so they may share a unit in the same iteration. *)
+
 val delay : t -> Dfg.Op.kind -> int
 (** [max 1 (delays kind)]. *)
 

@@ -199,10 +199,10 @@ let clear t =
 
 let steps_overlap = Rtl.Lifetime.steps_overlap
 
-(* Fold [f] over the occupant lists of every cell the candidate placement
-   [col/step/span] touches. Under functional pipelining a candidate step
-   collides with every grid step congruent to it modulo the latency, so the
-   scan walks each congruence class once. *)
+(* Fold [f acc s occupants] over every occupied cell [s] the candidate
+   placement [col/step/span] touches. Under functional pipelining a
+   candidate step collides with every grid step congruent to it modulo the
+   latency, so the scan walks each congruence class once. *)
 let fold_covered t ~latency ~col ~step ~span f acc =
   if col < 1 || col > t.ncols then acc
   else
@@ -213,7 +213,7 @@ let fold_covered t ~latency ~col ~step ~span f acc =
         for s = lo to hi do
           let idx = cell_index t ~col ~step:s in
           if t.owner.(idx) <> no_owner then
-            acc := f !acc (occupants_of_cell t idx)
+            acc := f !acc s (occupants_of_cell t idx)
         done;
         !acc
     | Some l ->
@@ -227,7 +227,7 @@ let fold_covered t ~latency ~col ~step ~span f acc =
             while !s <= t.horizon do
               let idx = cell_index t ~col ~step:!s in
               if t.owner.(idx) <> no_owner then
-                acc := f !acc (occupants_of_cell t idx);
+                acc := f !acc !s (occupants_of_cell t idx);
               s := !s + l
             done
           end
@@ -238,7 +238,7 @@ let seq_of t op = (Hashtbl.find t.by_op op).seq
 
 let conflicts t ~latency ~col ~step ~span =
   fold_covered t ~latency ~col ~step ~span
-    (fun acc occupants ->
+    (fun acc _ occupants ->
       List.fold_left
         (fun acc o -> if List.mem o acc then acc else o :: acc)
         acc occupants)
@@ -250,7 +250,11 @@ exception Blocked
 (* Closure-free candidate probe, the kernel's hot path.  Without functional
    pipelining the packed rows answer the common all-empty case in O(span /
    word_bits); only candidates overlapping occupied cells walk their
-   occupants to test mutual exclusion. *)
+   occupants to test mutual exclusion.  Under a latency it applies
+   [Rtl.Lifetime.clash] in cell form: exclusivity excuses the occupants of
+   congruent cell [s] only when [s] is one of the candidate's own steps and
+   none of its other steps is congruent to [s]; every other congruent cell
+   meets the candidate in another iteration. *)
 let free_at t ~exclusive ~latency ~op ~span ~col ~step =
   if col < 1 || col > t.ncols then true
   else
@@ -273,12 +277,18 @@ let free_at t ~exclusive ~latency ~op ~span ~col ~step =
           done;
           true
         with Blocked -> false)
-    | Some _ -> (
+    | Some l -> (
+        let last = step + span - 1 in
+        let same_iteration s =
+          s >= step && s <= last && s - l < step && s + l > last
+        in
         match
           fold_covered t ~latency ~col ~step ~span
-            (fun () occupants ->
-              if List.for_all (fun other -> exclusive op other) occupants then
-                ()
+            (fun () s occupants ->
+              if
+                same_iteration s
+                && List.for_all (fun other -> exclusive op other) occupants
+              then ()
               else raise Blocked)
             ()
         with

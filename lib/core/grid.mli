@@ -13,7 +13,8 @@
     slot). Two placements may share cells when the operations are mutually
     exclusive (§5.1). Under functional pipelining with latency [L], steps
     congruent modulo [L] conflict because successive loop instances overlap
-    (§5.5.2). *)
+    (§5.5.2), whether or not the operations are exclusive: only cells at
+    the same step belong to one iteration ({!Rtl.Lifetime.clash}). *)
 
 type t
 
@@ -58,8 +59,8 @@ val conflicts :
 val free :
   t -> exclusive:(int -> int -> bool) -> latency:int option ->
   op:int -> span:int -> Frames.pos -> bool
-(** Whether the candidate placement at [pos] causes no conflict (any
-    occupant must be mutually exclusive with [op]). *)
+(** Whether the candidate placement at [pos] clashes with no occupant:
+    {!Rtl.Lifetime.clash} applied cell by cell. *)
 
 val free_at :
   t -> exclusive:(int -> int -> bool) -> latency:int option ->

@@ -12,7 +12,6 @@ type outcome = {
 }
 
 exception Need_more_units of string
-exception Unit_limit of string
 
 let lookup assoc key = List.assoc_opt key assoc
 
@@ -84,9 +83,7 @@ let attempt ?(seed = []) cfg g bounds order ~objective ~current ~trace ~st =
       st.col.(i) <- pos.Frames.col;
       st.offset.(i) <- off)
     seed;
-  let exclusive i j =
-    cfg.Config.share_mutex && Dfg.Graph.mutually_exclusive g i j
-  in
+  let exclusive = Config.exclusive cfg g in
   let latency = cfg.Config.functional_latency in
   List.iter
     (fun i ->
@@ -186,61 +183,77 @@ let initial_counts cfg g bounds ~user_limits ~cs =
 
 let total_ops g = Dfg.Graph.num_nodes g
 
+(* How the local-rescheduling loop stops without a schedule. *)
+type stop = Budget_spent | Unit_limit of string
+
+(* The local-rescheduling loop (§3.2 step 4), time-constrained: place
+   [order] after [seed]; when a move frame comes up empty, grow the class's
+   unit count, widening its upper bound unless the user capped it, and
+   restart. At most [budget] restarts. *)
+let restart_loop ?seed cfg g bounds order ~current ~max_j ~user_limited
+    ~budget =
+  let cs = bounds.Dfg.Bounds.cs in
+  let trace = Liapunov.Trace.create () in
+  let st = make_state (total_ops g) in
+  let restarts = ref 0 in
+  let widenings = ref 0 in
+  let budget = ref budget in
+  let rec loop () =
+    let n_energy = Hashtbl.fold (fun _ v acc -> max v acc) max_j 1 in
+    let objective = Liapunov.Time_constrained { n = n_energy } in
+    match attempt ?seed cfg g bounds order ~objective ~current ~trace ~st with
+    | st ->
+        let schedule =
+          Schedule.make ~col:st.col ~offset:st.offset ~config:cfg ~cs g
+            st.start
+        in
+        Ok
+          {
+            schedule;
+            objective;
+            trace;
+            restarts = !restarts;
+            widenings = !widenings;
+            energy = st.energy;
+          }
+    | exception Need_more_units c ->
+        decr budget;
+        if !budget <= 0 then Error Budget_spent
+        else begin
+          incr restarts;
+          let cur = Hashtbl.find current c in
+          if cur < Hashtbl.find max_j c then begin
+            Hashtbl.replace current c (cur + 1);
+            loop ()
+          end
+          else if Hashtbl.find user_limited c then Error (Unit_limit c)
+          else begin
+            incr widenings;
+            Hashtbl.replace max_j c (Hashtbl.find max_j c + 1);
+            Hashtbl.replace current c (cur + 1);
+            loop ()
+          end
+        end
+  in
+  loop ()
+
 let run_time cfg g ~cs ~user_limits =
   match effective_bounds cfg g ~cs with
   | Error msg -> Error (Diag.infeasible ~code:"mfs.infeasible-budget" msg)
-  | Ok bounds ->
-      let order = Priority.order cfg g bounds in
+  | Ok bounds -> (
       let current, max_j, user_limited =
         initial_counts cfg g bounds ~user_limits ~cs
       in
-      let trace = Liapunov.Trace.create () in
-      let st = make_state (total_ops g) in
-      let restarts = ref 0 in
-      let widenings = ref 0 in
-      let budget = ref ((2 * total_ops g) + 8) in
-      let rec loop () =
-        let n_energy =
-          Hashtbl.fold (fun _ v acc -> max v acc) max_j 1
-        in
-        let objective = Liapunov.Time_constrained { n = n_energy } in
-        match attempt cfg g bounds order ~objective ~current ~trace ~st with
-        | st ->
-            let schedule =
-              Schedule.make ~col:st.col ~offset:st.offset ~config:cfg ~cs g
-                st.start
-            in
-            Ok
-              {
-                schedule;
-                objective;
-                trace;
-                restarts = !restarts;
-                widenings = !widenings;
-                energy = st.energy;
-              }
-        | exception Need_more_units c ->
-            decr budget;
-            if !budget <= 0 then
-              Error
-                (Diag.internal ~code:"mfs.budget-exhausted"
-                   "MFS: rescheduling budget exhausted (internal)")
-            else begin
-              incr restarts;
-              let cur = Hashtbl.find current c in
-              if cur < Hashtbl.find max_j c then
-                Hashtbl.replace current c (cur + 1)
-              else if Hashtbl.find user_limited c then raise (Unit_limit c)
-              else begin
-                incr widenings;
-                Hashtbl.replace max_j c (Hashtbl.find max_j c + 1);
-                Hashtbl.replace current c (cur + 1)
-              end;
-              loop ()
-            end
-      in
-      (try loop () with
-      | Unit_limit c ->
+      match
+        restart_loop cfg g bounds (Priority.order cfg g bounds) ~current ~max_j
+          ~user_limited ~budget:((2 * total_ops g) + 8)
+      with
+      | Ok _ as o -> o
+      | Error Budget_spent ->
+          Error
+            (Diag.internal ~code:"mfs.budget-exhausted"
+               "MFS: rescheduling budget exhausted (internal)")
+      | Error (Unit_limit c) ->
           Error
             (Diag.infeasible ~code:"mfs.unit-limit"
                (Printf.sprintf
@@ -481,53 +494,11 @@ let reschedule ?(config = Config.default) ?(max_units = []) ~old g deltas
                 let order = Priority.order config g bounds in
                 let cone_order = List.filter (fun i -> in_cone.(i)) order in
                 let replaced = List.length cone_order in
-                let trace = Liapunov.Trace.create () in
-                let st = make_state (total_ops g) in
-                let restarts = ref 0 in
-                let widenings = ref 0 in
-                let budget = ref ((2 * replaced) + 8) in
-                let rec loop () =
-                  let n_energy =
-                    Hashtbl.fold (fun _ v acc -> max v acc) max_j 1
-                  in
-                  let objective = Liapunov.Time_constrained { n = n_energy } in
-                  match
-                    attempt ~seed config g bounds cone_order ~objective
-                      ~current ~trace ~st
-                  with
-                  | st ->
-                      let schedule =
-                        Schedule.make ~col:st.col ~offset:st.offset
-                          ~config ~cs g st.start
-                      in
-                      Ok
-                        {
-                          schedule;
-                          objective;
-                          trace;
-                          restarts = !restarts;
-                          widenings = !widenings;
-                          energy = st.energy;
-                        }
-                  | exception Need_more_units c ->
-                      decr budget;
-                      if !budget <= 0 then raise Exit
-                      else begin
-                        incr restarts;
-                        let cur = Hashtbl.find current c in
-                        if cur < Hashtbl.find max_j c then
-                          Hashtbl.replace current c (cur + 1)
-                        else if Hashtbl.find user_limited c then raise Exit
-                        else begin
-                          incr widenings;
-                          Hashtbl.replace max_j c (Hashtbl.find max_j c + 1);
-                          Hashtbl.replace current c (cur + 1)
-                        end;
-                        loop ()
-                      end
-                in
-                match loop () with
-                | exception Exit -> fallback ()
+                match
+                  restart_loop ~seed config g bounds cone_order ~current
+                    ~max_j ~user_limited ~budget:((2 * replaced) + 8)
+                with
+                | Error _ -> fallback ()
                 | exception Invalid_argument _ ->
                     (* A kept position does not fit the fresh grid (e.g. a
                        horizon or span inconsistency the cone sweep could
@@ -537,5 +508,4 @@ let reschedule ?(config = Config.default) ?(max_units = []) ~old g deltas
                     (* Belt and braces: the cone construction is the
                        correctness argument, the checker is the proof. *)
                     if Schedule.check_diags o.schedule <> [] then fallback ()
-                    else Ok (o, { replaced; kept; fell_back = false })
-                | Error _ as e -> e)))
+                    else Ok (o, { replaced; kept; fell_back = false }))))

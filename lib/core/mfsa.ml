@@ -142,9 +142,7 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
                    (fun k -> Hashtbl.mem no_widen (Dfg.Op.fu_class k))
                    a.ai_kind.Celllib.Library.ops)
             in
-            let exclusive i j =
-              config.Config.share_mutex && Dfg.Graph.mutually_exclusive g i j
-            in
+            let exclusive = Config.exclusive config g in
             (* Span an op occupies on an instance of the given kind. *)
             let pipelined kind = kind.Celllib.Library.stages > 1 in
             let span_on kind i = if pipelined kind then 1 else node_delay i in
@@ -160,13 +158,14 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
               else
                 (* Widening to a kind of different pipelined-ness changes the
                    occupants' spans too, so the grid cells don't apply; fall
-                   back to the pairwise overlap check. *)
+                   back to the pairwise sharing rule. *)
                 List.for_all
                   (fun j ->
-                    exclusive i j
-                    || not
-                         (Grid.steps_overlap ~latency s (span_on kind i)
-                            start.(j) (span_on kind j)))
+                    not
+                      (Rtl.Lifetime.clash
+                         ~steps_overlap:(Grid.steps_overlap ~latency)
+                         ~exclusive:(exclusive i j) s (span_on kind i)
+                         start.(j) (span_on kind j)))
                   a.ai_ops
             in
             let style_ok a i =
@@ -221,60 +220,28 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
               List.map (fun j -> mux_row j start.(j)) ops
             in
             (* Register count of the partially constructed design, optionally
-               pretending candidate [cand = (i, s)] were placed (§5.8). *)
+               pretending candidate [cand = (i, s)] were placed (§5.8): the
+               lifetimes of the inputs and the placed ops, without holding
+               outputs to the horizon. An unplaced consumer starts at 0, so
+               it never extends a lifetime. *)
             let partial_reg_count cand =
-              let consumer_start j =
-                if placed.(j) then Some start.(j)
-                else
-                  match cand with
-                  | Some (i, s) when i = j -> Some s
-                  | _ -> None
+              (* The candidate is unplaced: its start is 0 outside this
+                 call. *)
+              (match cand with Some (i, s) -> start.(i) <- s | None -> ());
+              let ivs =
+                Rtl.Lifetime.intervals ~hold_outputs:false g ~start
+                  ~delay:node_delay ~cs
               in
-              let death_of ~birth value =
-                let uses =
-                  List.filter_map
-                    (fun nd ->
-                      if
-                        List.mem value nd.Dfg.Graph.args
-                        || List.exists
-                             (fun (c, _) -> String.equal c value)
-                             nd.Dfg.Graph.guards
-                      then consumer_start nd.Dfg.Graph.id
-                      else None)
-                    (Dfg.Graph.nodes g)
-                in
-                List.fold_left (fun acc s -> max acc (s - 1)) (birth - 1) uses
-              in
-              let input_ivs =
-                List.map
-                  (fun v ->
-                    { Rtl.Lifetime.value = v; birth = 0;
-                      death = death_of ~birth:0 v })
-                  (Dfg.Graph.inputs g)
-              in
-              let node_ivs =
-                List.filter_map
-                  (fun nd ->
+              (match cand with Some (i, _) -> start.(i) <- 0 | None -> ());
+              let counted iv =
+                match Dfg.Graph.find g iv.Rtl.Lifetime.value with
+                | None -> true
+                | Some nd ->
                     let j = nd.Dfg.Graph.id in
-                    let born =
-                      if placed.(j) then Some start.(j)
-                      else
-                        match cand with
-                        | Some (i, s) when i = j -> Some s
-                        | _ -> None
-                    in
-                    Option.map
-                      (fun s0 ->
-                        let birth = s0 + node_delay j - 1 in
-                        {
-                          Rtl.Lifetime.value = nd.Dfg.Graph.name;
-                          birth;
-                          death = death_of ~birth nd.Dfg.Graph.name;
-                        })
-                      born)
-                  (Dfg.Graph.nodes g)
+                    placed.(j)
+                    || (match cand with Some (i, _) -> i = j | None -> false)
               in
-              Rtl.Lifetime.max_overlap (input_ivs @ node_ivs)
+              Rtl.Lifetime.max_overlap (List.filter counted ivs)
             in
             let max_marginal = Celllib.Library.max_mux_marginal library in
             (* Time-constrained: C makes an earlier step always win (§4.1).

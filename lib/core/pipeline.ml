@@ -1,6 +1,14 @@
+(* Instance [suffix] of [g]: every value and array renamed. A renamed array
+   stays in its original's bank, so the instances share the bank's ports
+   but get no address edges between them. *)
 let add_instance b g suffix =
   let rename v = v ^ suffix in
   List.iter (fun v -> Dfg.Graph.Builder.add_input b (rename v)) (Dfg.Graph.inputs g);
+  List.iter
+    (fun (a : Dfg.Graph.array_decl) ->
+      Dfg.Graph.Builder.declare_array ~bank:a.Dfg.Graph.a_bank b
+        ~name:(rename a.Dfg.Graph.a_name) ~size:a.Dfg.Graph.a_size)
+    (Dfg.Graph.arrays g);
   List.iter
     (fun nd ->
       Dfg.Graph.Builder.add_op b
@@ -16,35 +24,35 @@ let add_instance b g suffix =
     (fun (v, w) -> Dfg.Graph.Builder.declare_width b (rename v) w)
     (Dfg.Graph.declared_widths g)
 
+let instances ~what suffixes g =
+  let b = Dfg.Graph.Builder.create () in
+  List.iter
+    (fun (bk : Dfg.Graph.bank_decl) ->
+      Dfg.Graph.Builder.declare_bank b ~name:bk.Dfg.Graph.b_name
+        ~ports:bk.Dfg.Graph.b_ports)
+    (Dfg.Graph.banks g);
+  List.iter (add_instance b g) suffixes;
+  match Dfg.Graph.Builder.build b with
+  | Ok gk -> Ok gk
+  | Error msg ->
+      Error
+        (Diag.internal ~code:"pipeline.rename"
+           (Printf.sprintf "Pipeline.%s: renaming broke the graph: %s" what
+              msg))
+
 let replicate ~copies g =
   if copies < 1 then
     Error
       (Diag.input ~code:"pipeline.bad-copies"
          "Pipeline.replicate: copies must be >= 1")
-  else begin
-    let b = Dfg.Graph.Builder.create () in
-    for k = 1 to copies do
-      add_instance b g (Printf.sprintf "_i%d" k)
-    done;
-    match Dfg.Graph.Builder.build b with
-    | Ok gk -> Ok gk
-    | Error msg ->
-        Error
-          (Diag.internal ~code:"pipeline.rename"
-             ("Pipeline.replicate: renaming broke the graph: " ^ msg))
-  end
+  else
+    instances ~what:"replicate"
+      (List.init copies (fun k -> Printf.sprintf "_i%d" (k + 1)))
+      g
 
 let double ?(suffixes = ("_i1", "_i2")) g =
   let s1, s2 = suffixes in
-  let b = Dfg.Graph.Builder.create () in
-  add_instance b g s1;
-  add_instance b g s2;
-  match Dfg.Graph.Builder.build b with
-  | Ok g2 -> Ok g2
-  | Error msg ->
-      Error
-        (Diag.internal ~code:"pipeline.rename"
-           ("Pipeline.double: renaming broke the graph: " ^ msg))
+  instances ~what:"double" [ s1; s2 ] g
 
 let unfold sched ~latency ?instances () =
   let g = sched.Schedule.graph in

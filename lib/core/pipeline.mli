@@ -11,7 +11,9 @@ val replicate : copies:int -> Dfg.Graph.t -> (Dfg.Graph.t, Diag.t) result
 (** [copies] renamed instances of the graph side by side (suffix [_i<k>]),
     reading disjoint primary inputs — the generalisation of §5.5.2's "new
     DFG consisting of two instances". The instances share no values; the
-    overlap in time comes from scheduling, not from dataflow.
+    overlap in time comes from scheduling, not from dataflow. Arrays are
+    renamed too and stay in their original's bank, so the instances share
+    its ports but get no address edges between them.
 
     Errors: an [Input] diagnostic when [copies < 1]; an [Internal] one if
     renaming broke an otherwise valid graph (cannot happen for graphs built

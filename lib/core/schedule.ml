@@ -25,22 +25,15 @@ let makespan t =
   let rec go acc i = if i >= n then acc else go (max acc (finish t i)) (i + 1) in
   go 0 0
 
-let exclusive t i j =
-  t.config.Config.share_mutex && Dfg.Graph.mutually_exclusive t.graph i j
-
 let latency t = t.config.Config.functional_latency
 
-(* Occupied cells of node [i] on its class grid, folded modulo the
-   functional-pipelining latency when active. *)
-let cells t i =
-  let s = t.start.(i) and sp = span t i in
-  match latency t with
-  | None -> List.init sp (fun k -> s + k)
-  | Some l -> List.init sp (fun k -> ((s + k - 1) mod l + l) mod l)
-
-let cells_overlap t i j =
-  Grid.steps_overlap ~latency:(latency t) t.start.(i) (span t i) t.start.(j)
-    (span t j)
+(* [Rtl.Lifetime.clash] between two ops of one class. *)
+let clash t =
+  let steps_overlap = Grid.steps_overlap ~latency:(latency t) in
+  fun i j ->
+    Rtl.Lifetime.clash ~steps_overlap
+      ~exclusive:(Config.exclusive t.config t.graph i j)
+      t.start.(i) (span t i) t.start.(j) (span t j)
 
 let fu_counts t =
   let classes = Dfg.Graph.classes t.graph in
@@ -59,8 +52,14 @@ let fu_counts t =
           (c, used))
         classes
   | None ->
-      (* Peak concurrency per class; mutually-exclusive ops stack on one
-         unit, so count cliques of non-exclusive ops per cell greedily. *)
+      (* Peak concurrency per class, over the steps (folded modulo the
+         latency); ops that do not clash stack on one unit, so pack each
+         step's ops greedily. *)
+      let clash = clash t in
+      let steps_overlap = Grid.steps_overlap ~latency:(latency t) in
+      let lo, hi =
+        match latency t with Some l -> (1, l) | None -> (0, t.cs + 1)
+      in
       List.map
         (fun c ->
           let members =
@@ -69,38 +68,26 @@ let fu_counts t =
               (Dfg.Graph.nodes t.graph)
             |> List.map (fun nd -> nd.Dfg.Graph.id)
           in
-          let horizon =
-            match latency t with Some l -> l | None -> t.cs + 1
-          in
           let peak = ref 0 in
-          for cell = 0 to horizon do
+          for step = lo to hi do
             let active =
               List.filter
-                (fun i ->
-                  List.mem
-                    (match latency t with
-                    | None -> cell
-                    | Some _ -> cell)
-                    (cells t i))
+                (fun i -> steps_overlap step 1 t.start.(i) (span t i))
                 members
             in
-            (* Greedily pack mutually-exclusive ops onto shared units. *)
-            let units = ref [] in
-            List.iter
-              (fun i ->
-                let rec try_units = function
-                  | [] -> units := [ i ] :: !units
-                  | u :: rest ->
-                      if List.for_all (fun j -> exclusive t i j) u then begin
-                        units :=
-                          (i :: u) :: List.filter (fun v -> v != u) !units;
-                        ignore rest
-                      end
-                      else try_units rest
-                in
-                try_units !units)
-              active;
-            peak := max !peak (List.length !units)
+            let units =
+              List.fold_left
+                (fun units i ->
+                  match
+                    List.find_opt
+                      (List.for_all (fun j -> not (clash i j)))
+                      units
+                  with
+                  | Some u -> (i :: u) :: List.filter (fun v -> v != u) units
+                  | None -> [ i ] :: units)
+                [] active
+            in
+            peak := max !peak (List.length units)
           done;
           (c, !peak))
         classes
@@ -142,14 +129,14 @@ let violations t =
         Array.init n (fun i ->
             Dfg.Graph.node_class t.graph (Dfg.Graph.node t.graph i))
       in
+      let clash = clash t in
       for i = 0 to n - 1 do
         if col.(i) < 1 then add (Col_range i);
         for j = i + 1 to n - 1 do
           if
             col.(i) = col.(j)
             && String.equal klass.(i) klass.(j)
-            && cells_overlap t i j
-            && not (exclusive t i j)
+            && clash i j
           then add (Fu_conflict (i, j))
         done
       done);

@@ -31,8 +31,8 @@ val finish : t -> int -> int
 
 val fu_counts : t -> (string * int) list
 (** Units needed per class: the highest bound column when instances are
-    bound, otherwise the peak concurrency (with mutually-exclusive
-    operations and modulo-latency folding taken into account). *)
+    bound, otherwise the peak concurrency over the (latency-folded) steps,
+    with ops that do not {!Rtl.Lifetime.clash} packed onto one unit. *)
 
 val makespan : t -> int
 (** Last finish step over all operations. *)
@@ -51,9 +51,9 @@ type violation =
           the pair may not chain). *)
   | Col_range of int  (** Op bound to a column below 1. *)
   | Fu_conflict of int * int
-      (** [(i, j)], [i < j]: same class and column, occupied cells overlap
-          (modulo the functional-pipelining latency) and the ops are not
-          allowed to share as mutually exclusive. *)
+      (** [(i, j)], [i < j]: same class and column, and the ops
+          {!Rtl.Lifetime.clash} (cells folded by the functional-pipelining
+          latency, exclusivity by {!Config.exclusive}). *)
 
 val violations : t -> violation list
 (** Every violation, per op in id order (start, horizon, then each

@@ -466,14 +466,18 @@ let count_by_class g =
     g.node_arr;
   List.map (fun c -> (c, Hashtbl.find counts c)) (classes g)
 
+(* Unguarded pairs answer without allocating: the sharing rule asks this
+   for every pair it compares. *)
 let mutually_exclusive g i j =
   i <> j
   &&
-  let gi = (node g i).guards and gj = (node g j).guards in
-  List.exists
-    (fun (c, arm) ->
-      List.exists (fun (c', arm') -> String.equal c c' && arm <> arm') gj)
-    gi
+  match ((node g i).guards, (node g j).guards) with
+  | [], _ | _, [] -> false
+  | gi, gj ->
+      List.exists
+        (fun (c, arm) ->
+          List.exists (fun (c', arm') -> String.equal c c' && arm <> arm') gj)
+        gi
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>inputs: %s@,"

@@ -14,8 +14,9 @@ let unit_conflicts ?(share_mutex = true)
   let g = dp.Datapath.graph and start = dp.Datapath.start in
   pairs_where
     (fun i j ->
-      steps_overlap start.(i) (span i) start.(j) (span j)
-      && not (share_mutex && Dfg.Graph.mutually_exclusive g i j))
+      Lifetime.clash ~steps_overlap
+        ~exclusive:(share_mutex && Dfg.Graph.mutually_exclusive g i j)
+        start.(i) (span i) start.(j) (span j))
     ops
 
 let reg_clashes regs ivs =

@@ -13,10 +13,11 @@ val unit_conflicts :
   Datapath.t -> span:(int -> int) -> int list -> (int * int) list
 (** The one-operation-per-unit-per-step audit over one unit's operations
     (an ALU's [a_ops] with {!alu_span}, or a bank port's [m_ops] with the
-    delay): every pair [(i, j)], [i] before [j] in the list, whose
-    occupied steps overlap while the two are not mutually exclusive (only
-    [share_mutex], default true, lets exclusive operations overlap).
-    [steps_overlap] defaults to [Lifetime.steps_overlap ~latency:None]. *)
+    delay): every pair [(i, j)], [i] before [j] in the list, that
+    {!Lifetime.clash}es. [steps_overlap] decides when cells meet and
+    defaults to [Lifetime.steps_overlap ~latency:None]; only with
+    [share_mutex] (default true) do mutually exclusive operations count as
+    exclusive. *)
 
 val reg_clashes :
   Left_edge.t -> Lifetime.interval list -> (string * string * int) list
@@ -32,7 +33,7 @@ val datapath :
     - every operation's kind is within its ALU's capability set;
     - every ALU instance executes at most one operation per step
       ({!unit_conflicts} with {!alu_span}). [steps_overlap start span
-      start' span'] overrides the occupancy-overlap predicate — pass
+      start' span'] says when cells meet — pass
       [Lifetime.steps_overlap ~latency] to validate a functionally
       pipelined schedule with the scheduler's own modulo-folded rule;
     - register sharing is sound ({!reg_clashes});

@@ -100,12 +100,13 @@ let bind_ports ?latency g ~start ~span ops =
         if c <> 0 then c else compare i j)
       ops
   in
+  let steps_overlap = Lifetime.steps_overlap ~latency in
   let fits i =
     List.for_all (fun j ->
-        Dfg.Graph.mutually_exclusive g i j
-        || not
-             (Lifetime.steps_overlap ~latency start.(i) (span i) start.(j)
-                (span j)))
+        not
+          (Lifetime.clash ~steps_overlap
+             ~exclusive:(Dfg.Graph.mutually_exclusive g i j)
+             start.(i) (span i) start.(j) (span j)))
   in
   let rec insert i = function
     | [] -> [ [ i ] ]

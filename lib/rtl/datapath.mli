@@ -54,10 +54,11 @@ val bind_ports :
   ?latency:int -> Dfg.Graph.t -> start:int array -> span:(int -> int) ->
   int list -> int list list
 (** First-fit port binding of one bank's accesses: in (start, id) order,
-    each access joins the first port whose every access is mutually
-    exclusive with it or occupies no common step under
-    {!Lifetime.steps_overlap} [~latency]. Returns the ports' accesses by
-    start step; its length is the ports the bank needs in this schedule. *)
+    each access joins the first port none of whose accesses it clashes
+    with under {!Lifetime.clash} (cells folded by [latency]; mutually
+    exclusive accesses always count as exclusive). Returns the ports'
+    accesses by start step; its length is the ports the bank needs in this
+    schedule. *)
 
 val elaborate :
   ?include_inputs:bool -> ?latency:int -> Dfg.Graph.t -> start:int array ->

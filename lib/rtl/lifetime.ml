@@ -56,6 +56,17 @@ let steps_overlap ~latency a sa b sb =
       let cells_b = List.init sb (fun i -> norm (b + i)) in
       List.exists (fun c -> List.mem c cells_b) cells_a
 
+(* The cells of each op are few (its span), so the pairs are walked. *)
+let clash ~steps_overlap ~exclusive a sa b sb =
+  steps_overlap a sa b sb
+  && ((not exclusive)
+     || List.exists
+          (fun x ->
+            List.exists
+              (fun y -> x <> y && steps_overlap x 1 y 1)
+              (List.init sb (fun k -> b + k)))
+          (List.init sa (fun k -> a + k)))
+
 let max_overlap ivs =
   let live = List.filter needs_register ivs in
   let boundaries =

@@ -30,9 +30,20 @@ val overlap : interval -> interval -> bool
 val steps_overlap : latency:int option -> int -> int -> int -> int -> bool
 (** [steps_overlap ~latency a sa b sb]: do step ranges [a, a+sa-1] and
     [b, b+sb-1] share a cell, folding steps modulo [latency] when functional
-    pipelining is active? The single source of the occupancy-overlap rule:
-    MFS, MFSA, schedule validation, the baselines, port binding and the
-    datapath audits all use it ([Core.Grid.steps_overlap] re-exports it). *)
+    pipelining is active? ([Core.Grid.steps_overlap] re-exports it.) *)
+
+val clash :
+  steps_overlap:(int -> int -> int -> int -> bool) -> exclusive:bool ->
+  int -> int -> int -> int -> bool
+(** [clash ~steps_overlap ~exclusive a sa b sb]: the one sharing rule. Two
+    ops occupying steps [a, a+sa-1] and [b, b+sb-1] may not share a unit
+    when their cells meet ([steps_overlap], e.g. {!steps_overlap} with the
+    latency) and they are not [exclusive] (§5.1); nor when a cell of one
+    meets a cell of the other at a different step, because under
+    functional pipelining those cells belong to different overlapped
+    iterations, whose guards are independent (§5.5.2). MFS's grid (in cell
+    form), the schedule audit, MFSA, column binding, port binding and the
+    datapath audits all decide sharing with it. *)
 
 val max_overlap : interval list -> int
 (** Peak number of simultaneously-live values — the lower bound on register

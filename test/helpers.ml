@@ -42,6 +42,17 @@ let count_occurrences ~sub s =
     !count
   end
 
+(* A sample input of examples/data: dune copies the declared deps into the
+   sandbox relative to the workspace root. *)
+let example_file file =
+  let candidates =
+    [ Filename.concat "../examples/data" file;
+      Filename.concat "examples/data" file ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "sample %s not found (deps missing?)" file
+
 let check_ok what = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "%s failed: %s" what msg

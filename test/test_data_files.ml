@@ -3,16 +3,7 @@
 
 let test name f = Alcotest.test_case name `Quick f
 
-let data file =
-  (* dune copies the declared deps into the sandbox relative to the
-     workspace root. *)
-  let candidates =
-    [ Filename.concat "../examples/data" file;
-      Filename.concat "examples/data" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "sample %s not found (deps missing?)" file
+let data = Helpers.example_file
 
 let diffeq_beh () =
   let g = Helpers.check_okd "compile" (Dfg.Frontend.compile_file (data "diffeq.beh")) in
