@@ -26,14 +26,14 @@ let fus schedule =
 let fu_count s klass =
   Option.value ~default:0 (List.assoc_opt klass (Core.Schedule.fu_counts s))
 
-let ok = function
-  | Ok v -> v
-  | Error e ->
-      prerr_endline ("bench: " ^ e);
-      exit 1
+let fail msg =
+  prerr_endline ("bench: " ^ msg);
+  exit 1
 
-(* Kernel entry points report typed diagnostics; render them for the bench. *)
-let okd r = ok (Result.map_error Diag.message r)
+(* Library entry points report typed diagnostics; only the frozen seed
+   oracle still reports strings. *)
+let okd = function Ok v -> v | Error d -> fail (Diag.message d)
+let ok = function Ok v -> v | Error e -> fail e
 
 (* --- Table 1 ----------------------------------------------------------- *)
 
@@ -265,15 +265,15 @@ let speed () =
       [
         staged "mfs/ewf-18" (fun () ->
             okd (Core.Mfs.schedule ewf (Core.Mfs.Time { cs = 18 })));
-        staged "list/ewf-18" (fun () -> ok (Baselines.List_sched.time ewf ~cs:18));
-        staged "fds/ewf-18" (fun () -> ok (Baselines.Fds.run ewf ~cs:18));
-        staged "annealing/ewf-18" (fun () -> ok (Baselines.Annealing.run ewf ~cs:18));
+        staged "list/ewf-18" (fun () -> okd (Baselines.List_sched.time ewf ~cs:18));
+        staged "fds/ewf-18" (fun () -> okd (Baselines.Fds.run ewf ~cs:18));
+        staged "annealing/ewf-18" (fun () -> okd (Baselines.Annealing.run ewf ~cs:18));
         staged "mfsa/ewf-18" (fun () ->
             okd (Core.Mfsa.run ~config:cfg_lib ~library:lib ~cs:18 ewf));
         staged "mfs/random-200" (fun () ->
             okd (Core.Mfs.schedule big (Core.Mfs.Time { cs = big_cs })));
         staged "list/random-200" (fun () ->
-            ok (Baselines.List_sched.time big ~cs:big_cs));
+            okd (Baselines.List_sched.time big ~cs:big_cs));
       ]
   in
   let benchmark_cfg =
@@ -550,9 +550,9 @@ let measure_audits ops =
   let o = okd (Core.Mfs.run ~config g (Core.Mfs.Time { cs })) in
   let s = o.Core.Mfs.schedule in
   let dp =
-    ok (Harness.Problem.colbind_datapath p.Harness.Problem.library config g s)
+    okd (Harness.Problem.colbind_datapath p.Harness.Problem.library config g s)
   in
-  let ctrl = ok (Rtl.Controller.generate dp ~delay) in
+  let ctrl = Rtl.Controller.make dp ~delay in
   let time f =
     time_scaling ~reps:3 (fun () -> ignore (Sys.opaque_identity (f ())))
   in
@@ -594,18 +594,30 @@ let audit_gate () =
       else []
   | None -> [ "could not fit the audits' exponent" ]
 
-(* A gate row's kernel time [f] and yardstick time [g], measured in
-   alternation after one warm-up each and a major collection, best of
-   [reps] each: a change in the machine's load during the row slows both. *)
-let time_paired ?(reps = 5) f g =
+(* A gate row's kernel time [f] and yardstick time [g]: one warm-up each
+   and a major collection, then [reps] pairs timed back to back, so a
+   change in the machine's load slows both halves of a pair. The row keeps
+   the median yardstick time and the kernel time at the median of the
+   pairs' kernel/yardstick ratios. On a 2-core container shared with other
+   jobs, taking each side's best instead failed one gate run in five with
+   five pairs and three in ten with fifteen, with no change to the kernel:
+   the two minima came from different quiet spells. *)
+let time_paired ?(reps = 15) f g =
   ignore (time_once f);
   ignore (time_once g);
   Gc.major ();
-  let rec go bf bg k =
-    if k = 0 then (bf, bg)
-    else go (Float.min bf (time_once f)) (Float.min bg (time_once g)) (k - 1)
+  let pairs =
+    List.init reps (fun _ ->
+        let tf = time_once f in
+        (tf, time_once g))
   in
-  go infinity infinity reps
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let yard = median (List.map snd pairs) in
+  (median (List.map (fun (tf, tg) -> tf /. tg) pairs) *. yard, yard)
 
 (* Reads the committed BENCH_scaling.json (never writes it — CI checks the
    tree stays clean), re-measures the same sizes, and fails when the kernel
@@ -790,7 +802,7 @@ let exact () =
 
 let single_function_cost g (s : Core.Schedule.t) lib =
   let dp =
-    ok (Harness.Problem.colbind_datapath lib s.Core.Schedule.config g s)
+    okd (Harness.Problem.colbind_datapath lib s.Core.Schedule.config g s)
   in
   (Rtl.Cost.of_datapath lib dp).Rtl.Cost.total
 
@@ -804,7 +816,7 @@ let versus () =
         let cs = Dfg.Bounds.critical_path g + 1 in
         let lib = Celllib.Ncr.for_graph g in
         let mfsa = mfsa_for Core.Mfsa.Unrestricted g cs in
-        let fds = ok (Baselines.Fds.run g ~cs) in
+        let fds = okd (Baselines.Fds.run g ~cs) in
         let fds_cost = single_function_cost g fds lib in
         let mfsa_cost = mfsa.Core.Mfsa.cost.Rtl.Cost.total in
         [ name;

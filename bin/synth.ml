@@ -32,14 +32,10 @@ let die ~json d =
 
 let or_die ~json = function Ok v -> v | Error d -> die ~json d
 
-(* Legacy string-error interfaces, wrapped with an explicit category. *)
-let or_die_s ~json category ~code r =
-  or_die ~json (Result.map_error (Diag.of_msg category ~code) r)
-
 (* The input graph, through CSE when asked. *)
 let load_input ~json ~cse spec =
   let g = or_die ~json (load_graph spec) in
-  if cse then or_die ~json (Problem.cse g) else g
+  if cse then or_die ~json (Dfg.Cse.run g) else g
 
 (* Process faults take the calling process down; only a supervised batch
    worker can contain them. *)
@@ -268,10 +264,7 @@ let mfsa_cmd =
           (Rtl.Cost.of_datapath ~widths:w lib o.Core.Mfsa.datapath));
     Format.printf "@.";
     let delay = Problem.delay p in
-    let ctrl =
-      or_die_s ~json Diag.Internal ~code:"synth.controller"
-        (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay)
-    in
+    let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
     (match
        Rtl.Check.datapath
          ~style2:(style = Core.Mfsa.No_self_loop)
@@ -308,12 +301,9 @@ let mfsa_cmd =
         let env =
           List.mapi (fun i v -> (v, i + 1)) (Dfg.Graph.inputs g)
         in
-        (match Sim.Machine.run o.Core.Mfsa.datapath ctrl ~env with
-        | Error e -> print_endline ("vcd: execution failed: " ^ e)
-        | Ok r -> (
-            match Sim.Vcd.write_file ~path o.Core.Mfsa.datapath r with
-            | Ok () -> Printf.printf "waveform written to %s\n" path
-            | Error e -> print_endline ("vcd: " ^ e))));
+        let r = or_die ~json (Sim.Machine.run o.Core.Mfsa.datapath ctrl ~env) in
+        or_die ~json (Sim.Vcd.write_file ~path o.Core.Mfsa.datapath r);
+        Printf.printf "waveform written to %s\n" path);
     (match fsm with
     | Some encoding ->
         print_newline ();
@@ -359,8 +349,10 @@ let compare_cmd =
     let facts = Analysis.Ranges.analyze g in
     let widths name = Analysis.Ranges.width_of facts name in
     let warea s =
-      match Problem.colbind_cost ~widths p s with
-      | Ok cost -> Printf.sprintf "%.0f" cost.Rtl.Cost.total
+      match Problem.colbind_datapath p.Problem.library config g s with
+      | Ok dp ->
+          Printf.sprintf "%.0f"
+            (Rtl.Cost.of_datapath ~widths p.Problem.library dp).Rtl.Cost.total
       | Error _ -> "-"
     in
     let row name ?(via = "primary") result =
@@ -373,7 +365,7 @@ let compare_cmd =
             (if Core.Schedule.check_diags s = [] then "yes" else "NO");
             via;
           ]
-      | Error e -> [ name; "error: " ^ e; "-"; "-"; via ]
+      | Error d -> [ name; "error: " ^ Diag.message d; "-"; "-"; via ]
     in
     (* The MFS row goes through the harness driver so the table shows
        whether the schedule came from MFS itself or from the degradation
@@ -399,8 +391,8 @@ let compare_cmd =
       in
       match (o.Harness.Driver.schedule, o.Harness.Driver.stopped) with
       | Some s, _ -> row "MFS" ~via (Ok s)
-      | None, Some d -> row "MFS" ~via (Error (Diag.message d))
-      | None, None -> row "MFS" ~via (Error "no schedule")
+      | None, Some d -> row "MFS" ~via (Error d)
+      | None, None -> row "MFS" ~via (Error (Diag.internal "no schedule"))
     in
     let baseline_rows =
       if limits = [] then
@@ -913,10 +905,7 @@ let lint_cmd =
               Option.value ~default:delay (Harness.Fault.skew_delay dp ~delay)
           | _ -> delay
         in
-        let ctrl =
-          or_die_s ~json Diag.Internal ~code:"synth.controller"
-            (Rtl.Controller.generate dp ~delay)
-        in
+        let ctrl = Rtl.Controller.make dp ~delay in
         (* Explicit lets: [@] evaluates right-to-left, which would
            reverse the recorded pass order. *)
         let post_sched =

@@ -17,29 +17,28 @@ let source =
   \  next = y1 - u1;\n\
    }\n"
 
-let or_fail = function Ok v -> v | Error e -> failwith e
-let or_faild r = or_fail (Result.map_error Diag.message r)
+let or_fail = function Ok v -> v | Error e -> failwith (Diag.message e)
 
 let () =
   print_endline "behavioural source:";
   print_string source;
   print_newline ();
 
-  let raw = or_faild (Dfg.Frontend.compile source) in
+  let raw = or_fail (Dfg.Frontend.compile source) in
   Printf.printf "compiled: %d operations (%s)\n" (Dfg.Graph.num_nodes raw)
     (String.concat ", "
        (List.map
           (fun (c, n) -> Printf.sprintf "%d %s" n c)
           (Dfg.Graph.count_by_class raw)));
 
-  let g = or_fail (Dfg.Cse.eliminate raw) in
+  let g = or_fail (Dfg.Cse.run raw) in
   Printf.printf "after CSE: %d operations (%d duplicates removed)\n\n"
     (Dfg.Graph.num_nodes g)
     (Dfg.Graph.num_nodes raw - Dfg.Graph.num_nodes g);
 
   let library = Celllib.Ncr.for_graph g in
   let cs = Dfg.Bounds.critical_path g in
-  let o = or_faild (Core.Mfsa.run ~library ~cs g) in
+  let o = or_fail (Core.Mfsa.run ~library ~cs g) in
   Format.printf "MFSA at T=%d:@.%a@.%a@.@." cs Rtl.Datapath.pp
     o.Core.Mfsa.datapath Rtl.Cost.pp o.Core.Mfsa.cost;
 
@@ -48,7 +47,7 @@ let () =
     Core.Config.delay o.Core.Mfsa.schedule.Core.Schedule.config
       (Dfg.Graph.node g i).Dfg.Graph.kind
   in
-  let ctrl = or_fail (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay) in
+  let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
   List.iter
     (fun (x, a) ->
       let env =
@@ -56,7 +55,7 @@ let () =
         @ Dfg.Frontend.const_env g
       in
       match Sim.Machine.run o.Core.Mfsa.datapath ctrl ~env with
-      | Error e -> failwith e
+      | Error e -> failwith (Diag.message e)
       | Ok r ->
           let value n = List.assoc_opt n r.Sim.Machine.values in
           Printf.printf

@@ -36,11 +36,7 @@ let () =
     Core.Config.delay mfsa.Core.Mfsa.schedule.Core.Schedule.config
       (Dfg.Graph.node graph i).Dfg.Graph.kind
   in
-  let controller =
-    match Rtl.Controller.generate mfsa.Core.Mfsa.datapath ~delay with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
+  let controller = Rtl.Controller.make mfsa.Core.Mfsa.datapath ~delay in
   let env =
     [ ("x", 2); ("y", 5); ("u", 3); ("dx", 1); ("a", 10); ("three", 3) ]
   in
@@ -50,7 +46,7 @@ let () =
       Format.printf
         "simulated on x=2 y=5 u=3 dx=1: x1=%d y1=%d u1=%d (x1 < a) = %d@."
         (get "a1") (get "a2") (get "s2") (get "c1")
-  | Error e -> failwith e);
+  | Error e -> failwith (Diag.message e));
   match Sim.Equiv.check_random mfsa.Core.Mfsa.datapath controller with
   | Ok () -> Format.printf "golden-model equivalence: ok (20 random runs)@."
   | Error e -> failwith (Diag.message e)

@@ -42,10 +42,8 @@ let () =
         Core.Config.delay o.Core.Mfsa.schedule.Core.Schedule.config
           (Dfg.Graph.node g i).Dfg.Graph.kind
       in
-      match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
-      | Error e -> failwith e
-      | Ok ctrl -> (
-          match Sim.Equiv.check_random o.Core.Mfsa.datapath ctrl with
-          | Ok () -> Printf.printf "%s: functional check ok\n" label
-          | Error e -> failwith (label ^ ": " ^ Diag.message e)))
+      let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
+      match Sim.Equiv.check_random o.Core.Mfsa.datapath ctrl with
+      | Ok () -> Printf.printf "%s: functional check ok\n" label
+      | Error e -> failwith (label ^ ": " ^ Diag.message e))
     [ ("style 1", s1); ("style 2", s2) ]

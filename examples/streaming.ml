@@ -5,8 +5,7 @@
 
      dune exec examples/streaming.exe *)
 
-let or_fail = function Ok v -> v | Error e -> failwith e
-let or_faild r = or_fail (Result.map_error Diag.message r)
+let or_fail = function Ok v -> v | Error e -> failwith (Diag.message e)
 
 let () =
   let g = Workloads.Classic.biquad () in
@@ -20,13 +19,13 @@ let () =
 
   let library = Celllib.Ncr.for_graph g in
   let cs = Dfg.Bounds.critical_path g + 1 in
-  let o = or_faild (Core.Mfsa.run ~library ~cs g) in
+  let o = or_fail (Core.Mfsa.run ~library ~cs g) in
   Printf.printf "synthesised at T=%d: %s, %.0f um2\n\n" cs
     (Rtl.Cost.alu_config o.Core.Mfsa.datapath)
     o.Core.Mfsa.cost.Rtl.Cost.total;
 
   let controller =
-    or_fail (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
 
   (* Section states feed back; coefficients are constants. The first
@@ -49,7 +48,7 @@ let () =
        ~stream ~iterations
    with
   | Ok () -> print_endline "machine vs golden model over the stream: ok"
-  | Error e -> failwith e);
+  | Error e -> failwith (Diag.message e));
 
   let out =
     or_fail

@@ -57,7 +57,9 @@ let window cfg g bounds ~start i =
 
 let run ?(config = Core.Config.default) ?(params = default_params)
     ?unit_area g ~cs =
-  if Dfg.Graph.num_nodes g = 0 then Error "annealing: empty graph"
+  if Dfg.Graph.num_nodes g = 0 then
+    Error
+      (Diag.infeasible ~code:"annealing.empty-graph" "annealing: empty graph")
   else
     match Core.Timeframe.bounds config g ~cs with
     | Error _ as e -> e

@@ -25,4 +25,6 @@ val cost :
 val run :
   ?config:Core.Config.t -> ?params:params ->
   ?unit_area:(string -> float) -> Dfg.Graph.t -> cs:int ->
-  (Core.Schedule.t, string) result
+  (Core.Schedule.t, Diag.t) result
+(** Anneal within [cs] steps. Infeasible: [annealing.empty-graph], or
+    {!Core.Timeframe}'s [bounds.*]. *)

@@ -14,9 +14,13 @@ exception Budget_exhausted
    operations can only raise peaks, the partial cost is a valid lower bound
    and dominated branches are cut. A second bound adds, per class, the
    floor ceil(remaining_c / cs) for classes not yet provisioned. *)
+(* Running out of the caller's node budget is no answer, not a defect. *)
+let node_budget_spent = Diag.infeasible ~code:"exact.node-budget"
+
 let run ?(config = Core.Config.default) ?(unit_weight = fun _ -> 1.)
     ?(node_budget = 5_000_000) g ~cs =
-  if Dfg.Graph.num_nodes g = 0 then Error "exact: empty graph"
+  if Dfg.Graph.num_nodes g = 0 then
+    Error (Diag.infeasible ~code:"exact.empty-graph" "exact: empty graph")
   else
     match Core.Timeframe.bounds config g ~cs with
     | Error _ as e -> e
@@ -104,8 +108,11 @@ let run ?(config = Core.Config.default) ?(unit_weight = fun _ -> 1.)
         | None ->
             Error
               (if !explored > node_budget then
-                 "exact: node budget exhausted before any solution"
-               else "exact: no feasible schedule (internal)")
+                 node_budget_spent
+                   "exact: node budget exhausted before any solution"
+               else
+                 Diag.internal ~code:"exact.internal"
+                   "exact: no feasible schedule (internal)")
         | Some s ->
             let col = Colbind.columns config g ~start:s in
             Ok
@@ -120,4 +127,7 @@ let min_units ?config g ~cs =
   match run ?config g ~cs with
   | Error _ as e -> e
   | Ok o when o.proven -> Ok (int_of_float (o.optimum +. 0.5))
-  | Ok _ -> Error "exact: node budget exhausted before proving optimality"
+  | Ok _ ->
+      Error
+        (node_budget_spent "exact: node budget exhausted before proving \
+                            optimality")

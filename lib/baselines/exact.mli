@@ -24,10 +24,14 @@ type outcome = {
 
 val run :
   ?config:Core.Config.t -> ?unit_weight:(string -> float) ->
-  ?node_budget:int -> Dfg.Graph.t -> cs:int -> (outcome, string) result
+  ?node_budget:int -> Dfg.Graph.t -> cs:int -> (outcome, Diag.t) result
 (** [unit_weight] defaults to 1 per unit (minimise the unit count);
-    [node_budget] (default 5 million) aborts runaway searches with an
-    error rather than hanging. *)
+    [node_budget] (default 5 million) aborts runaway searches rather than
+    hanging. Infeasible: [exact.empty-graph], {!Core.Timeframe}'s
+    [bounds.*], or [exact.node-budget] when the budget runs out before any
+    solution. *)
 
-val min_units : ?config:Core.Config.t -> Dfg.Graph.t -> cs:int -> (int, string) result
-(** Just the proven-minimal total unit count. *)
+val min_units :
+  ?config:Core.Config.t -> Dfg.Graph.t -> cs:int -> (int, Diag.t) result
+(** Just the proven-minimal total unit count; an unproven optimum is an
+    infeasible [exact.node-budget]. *)

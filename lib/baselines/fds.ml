@@ -83,7 +83,8 @@ let self_force cfg g bounds ~fixed i s =
   !force
 
 let run ?(config = Core.Config.default) g ~cs =
-  if Dfg.Graph.num_nodes g = 0 then Error "FDS: empty graph"
+  if Dfg.Graph.num_nodes g = 0 then
+    Error (Diag.infeasible ~code:"fds.empty-graph" "FDS: empty graph")
   else
     match Core.Timeframe.bounds config g ~cs with
     | Error _ as e -> e
@@ -138,7 +139,7 @@ let run ?(config = Core.Config.default) g ~cs =
               | None -> failed := Some "FDS: frames collapsed (internal)")
         done;
         (match !failed with
-        | Some e -> Error e
+        | Some e -> Error (Diag.internal ~code:"fds.internal" e)
         | None ->
             let start = Array.map (fun f -> Option.get f) fixed in
             let col = Colbind.columns config g ~start in

@@ -14,5 +14,8 @@ val distribution :
 
 val run :
   ?config:Core.Config.t -> Dfg.Graph.t -> cs:int ->
-  (Core.Schedule.t, string) result
-(** Schedule within [cs] steps, minimising peak per-class concurrency. *)
+  (Core.Schedule.t, Diag.t) result
+(** Schedule within [cs] steps, minimising peak per-class concurrency.
+    Infeasible: [fds.empty-graph], or {!Core.Timeframe}'s [bounds.*].
+    A search that finds no assignment inside feasible frames is an
+    [fds.internal] defect. *)

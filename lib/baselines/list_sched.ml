@@ -74,22 +74,29 @@ let finish_schedule cfg g start =
   let col = Colbind.columns cfg g ~start in
   Core.Schedule.make ~col ~config:cfg ~cs g start
 
+(* Every rejection is infeasible: callers fall back or cache, not count a
+   defect. *)
+let empty_graph () =
+  Error (Diag.infeasible ~code:"list.empty-graph" "list scheduling: empty graph")
+
 let resource ?(config = Core.Config.default) g ~limits =
-  if Dfg.Graph.num_nodes g = 0 then Error "list scheduling: empty graph"
+  if Dfg.Graph.num_nodes g = 0 then empty_graph ()
   else begin
     let bad =
       List.find_opt (fun (_, u) -> u < 1) limits
     in
     match bad with
     | Some (c, u) ->
-        Error (Printf.sprintf "list scheduling: %d units of %s" u c)
+        Error
+          (Diag.makef Diag.Infeasible ~code:"list.units"
+             "list scheduling: %d units of %s" u c)
     | None ->
         let start = run_rc config g ~units:limits in
         Ok (finish_schedule config g start)
   end
 
 let time ?(config = Core.Config.default) g ~cs =
-  if Dfg.Graph.num_nodes g = 0 then Error "list scheduling: empty graph"
+  if Dfg.Graph.num_nodes g = 0 then empty_graph ()
   else
     match Core.Timeframe.bounds config g ~cs with
     | Error _ as e -> e
@@ -117,7 +124,9 @@ let time ?(config = Core.Config.default) g ~cs =
           | None -> Ok (finish_schedule config g start)
           | Some nd ->
               if budget <= 0 then
-                Error "list scheduling: deferment budget exhausted"
+                Error
+                  (Diag.infeasible ~code:"list.deferment"
+                     "list scheduling: deferment budget exhausted")
               else begin
                 let c = Dfg.Graph.node_class g nd in
                 Hashtbl.replace units c (Hashtbl.find units c + 1);

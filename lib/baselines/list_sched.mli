@@ -10,13 +10,16 @@ val priority : Core.Config.t -> Dfg.Graph.t -> int -> int
 
 val resource :
   ?config:Core.Config.t -> Dfg.Graph.t -> limits:(string * int) list ->
-  (Core.Schedule.t, string) result
+  (Core.Schedule.t, Diag.t) result
 (** Resource-constrained: minimise steps with at most [limits] units per
-    class (classes absent from [limits] get one unit). *)
+    class (classes absent from [limits] get one unit). Every rejection is
+    infeasible: [list.empty-graph], or [list.units] for a cap below 1. *)
 
 val time :
   ?config:Core.Config.t -> Dfg.Graph.t -> cs:int ->
-  (Core.Schedule.t, string) result
+  (Core.Schedule.t, Diag.t) result
 (** Time-constrained by conditional deferment: start from the uniform
     lower bound [ceil(N_c/cs)] units per class and raise the limit of
-    whichever class first misses a deadline, until the budget is met. *)
+    whichever class first misses a deadline, until the budget is met.
+    Every rejection is infeasible: [list.empty-graph], {!Core.Timeframe}'s
+    [bounds.*] for a budget below the critical path, or [list.deferment]. *)

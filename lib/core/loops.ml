@@ -13,7 +13,7 @@ let add_iteration_control g ~counter ~bound =
   let clash n = Dfg.Graph.find g n <> None in
   if clash counter || clash bound || clash "c1" then
     Error
-      (Printf.sprintf
+      (Diag.makef Diag.Input ~code:"loop.control-clash"
          "loop control: %S, %S or the unit constant \"c1\" names an existing \
           operation"
          counter bound)
@@ -39,10 +39,16 @@ let add_iteration_control g ~counter ~bound =
   end
 
 let expand_placeholder g ~name ~cycles =
-  if cycles < 1 then Error (Printf.sprintf "loop %S: budget %d < 1" name cycles)
+  if cycles < 1 then
+    Error
+      (Diag.makef Diag.Input ~code:"loop.budget" "loop %S: budget %d < 1" name
+         cycles)
   else
     match Dfg.Graph.find g name with
-    | None -> Error (Printf.sprintf "placeholder node %S not found" name)
+    | None ->
+        Error
+          (Diag.makef Diag.Input ~code:"loop.placeholder"
+             "placeholder node %S not found" name)
     | Some target ->
         let b = Dfg.Graph.Builder.create () in
         List.iter (Dfg.Graph.Builder.add_input b) (Dfg.Graph.inputs g);
@@ -72,68 +78,48 @@ let expand_placeholder g ~name ~cycles =
           (Dfg.Graph.copy_annotations ~from:g)
           (Dfg.Graph.Builder.build b)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let ( let* ) = Result.bind
 
-let prefix_error path r =
-  Result.map_error (fun e -> Printf.sprintf "loop %s: %s" path e) r
-
-let rec schedule_tree ?config path t =
-  (* Children first (innermost loops), then expand and schedule this body. *)
-  let rec do_children acc = function
+(* One bottom-up walk: the children first (innermost loops), then this
+   body, with each child's placeholder expanded to the child's budget, run
+   through [engine] against the local budget. *)
+let rec walk engine node path t =
+  let rec children acc = function
     | [] -> Ok (List.rev acc)
     | (name, child) :: rest ->
-        let* sub = schedule_tree ?config (path ^ "/" ^ name) child in
-        do_children ((name, sub) :: acc) rest
+        let* sub = walk engine node (path ^ "/" ^ name) child in
+        children ((name, sub) :: acc) rest
   in
-  let* loop_children = do_children [] t.children in
-  let* body =
-    List.fold_left
-      (fun acc (name, child) ->
-        let* g = acc in
-        prefix_error path
-          (expand_placeholder g ~name ~cycles:child.budget))
-      (Ok t.body) t.children
+  let* subs = children [] t.children in
+  let* result =
+    Result.map_error (Diag.prefix ("loop " ^ path ^ ": "))
+      (let* body =
+         List.fold_left
+           (fun acc (name, child) ->
+             let* g = acc in
+             expand_placeholder g ~name ~cycles:child.budget)
+           (Ok t.body) t.children
+       in
+       engine body ~cs:t.budget)
   in
-  let* loop_schedule =
-    prefix_error path
-      (Result.map_error Diag.message
-         (Mfs.schedule ?config body (Mfs.Time { cs = t.budget })))
-  in
-  Ok { loop_schedule; loop_children }
+  Ok (node result subs)
 
-let schedule_nested ?config t = schedule_tree ?config "top" t
+let schedule_nested ?config t =
+  walk
+    (fun body ~cs -> Mfs.schedule ?config body (Mfs.Time { cs }))
+    (fun loop_schedule loop_children -> { loop_schedule; loop_children })
+    "top" t
 
 type allocated = {
   alloc_outcome : Mfsa.outcome;
   alloc_children : (string * allocated) list;
 }
 
-let rec allocate_tree ?config ?style ~library path t =
-  let rec do_children acc = function
-    | [] -> Ok (List.rev acc)
-    | (name, child) :: rest ->
-        let* sub =
-          allocate_tree ?config ?style ~library (path ^ "/" ^ name) child
-        in
-        do_children ((name, sub) :: acc) rest
-  in
-  let* alloc_children = do_children [] t.children in
-  let* body =
-    List.fold_left
-      (fun acc (name, child) ->
-        let* g = acc in
-        prefix_error path (expand_placeholder g ~name ~cycles:child.budget))
-      (Ok t.body) t.children
-  in
-  let* alloc_outcome =
-    prefix_error path
-      (Result.map_error Diag.message
-         (Mfsa.run ?config ?style ~library ~cs:t.budget body))
-  in
-  Ok { alloc_outcome; alloc_children }
-
 let allocate_nested ?config ?style ~library t =
-  allocate_tree ?config ?style ~library "top" t
+  walk
+    (fun body ~cs -> Mfsa.run ?config ?style ~library ~cs body)
+    (fun alloc_outcome alloc_children -> { alloc_outcome; alloc_children })
+    "top" t
 
 let rec total_cost a =
   a.alloc_outcome.Mfsa.cost.Rtl.Cost.total

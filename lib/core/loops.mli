@@ -26,25 +26,28 @@ type scheduled = {
 }
 
 val add_iteration_control :
-  Dfg.Graph.t -> counter:string -> bound:string -> (Dfg.Graph.t, string) result
+  Dfg.Graph.t -> counter:string -> bound:string -> (Dfg.Graph.t, Diag.t) result
 (** §5.2: "This can be done by adding two more operations (addition and
     comparison or increment and comparison) into the DFG corresponding to
     the body of the loop." Adds inputs [counter]/[bound] (if missing), the
     increment [counter__next = counter + c1] and the continuation test
     [counter__continue = counter__next < bound], so the loop body carries
     its own iteration control when scheduled against the local budget.
-    Errors when either name collides with an existing node. *)
+    A name colliding with an existing node is a [loop.control-clash]
+    input error. *)
 
 val expand_placeholder :
-  Dfg.Graph.t -> name:string -> cycles:int -> (Dfg.Graph.t, string) result
+  Dfg.Graph.t -> name:string -> cycles:int -> (Dfg.Graph.t, Diag.t) result
 (** Replace node [name] with a chain of [cycles] unit-delay pseudo-ops
     ([name__1] .. [name__cycles-1], final link keeping [name] so consumers
-    stay wired). Errors when [name] is missing or [cycles < 1]. *)
+    stay wired). Input errors: [loop.placeholder] when [name] is missing,
+    [loop.budget] when [cycles < 1]. *)
 
 val schedule_nested :
-  ?config:Config.t -> tree -> (scheduled, string) result
+  ?config:Config.t -> tree -> (scheduled, Diag.t) result
 (** Bottom-up nested scheduling; each level runs time-constrained MFS
-    against its own budget. Errors bubble up with the loop path prefixed. *)
+    against its own budget. A level's failure keeps its code and category,
+    its message prefixed with the loop path (["loop top/inner: ..."]). *)
 
 type allocated = {
   alloc_outcome : Mfsa.outcome;
@@ -55,7 +58,7 @@ type allocated = {
 
 val allocate_nested :
   ?config:Config.t -> ?style:Mfsa.style -> library:Celllib.Library.t ->
-  tree -> (allocated, string) result
+  tree -> (allocated, Diag.t) result
 (** §5.2 in full: "the operations of the inner most loop are scheduled and
     allocated first" — every level runs MFSA against its own budget, so
     each loop gets its own datapath; a parent sees a child only as the

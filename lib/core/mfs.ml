@@ -239,7 +239,7 @@ let restart_loop ?seed cfg g bounds order ~current ~max_j ~user_limited
 
 let run_time cfg g ~cs ~user_limits =
   match effective_bounds cfg g ~cs with
-  | Error msg -> Error (Diag.infeasible ~code:"mfs.infeasible-budget" msg)
+  | Error d -> Error { d with Diag.code = "mfs.infeasible-budget" }
   | Ok bounds -> (
       let current, max_j, user_limited =
         initial_counts cfg g bounds ~user_limits ~cs
@@ -431,8 +431,7 @@ let reschedule ?(config = Config.default) ?(max_units = []) ~old g deltas
     | Resource _, _ | _, None -> fallback ()
     | Time { cs }, Some ocol -> (
         match effective_bounds config g ~cs with
-        | Error msg ->
-            Error (Diag.infeasible ~code:"mfs.infeasible-budget" msg)
+        | Error d -> Error { d with Diag.code = "mfs.infeasible-budget" }
         | Ok bounds -> (
             let og = old.schedule.Schedule.graph in
             let ostart = old.schedule.Schedule.start in

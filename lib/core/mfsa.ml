@@ -61,7 +61,7 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
     Error (Diag.input ~code:"mfsa.empty-graph" "MFSA: empty graph")
   else
     match Timeframe.bounds config g ~cs with
-    | Error msg -> Error (Diag.infeasible ~code:"mfsa.infeasible-budget" msg)
+    | Error d -> Error { d with Diag.code = "mfsa.infeasible-budget" }
     | Ok bounds -> (
         let n = Dfg.Graph.num_nodes g in
         let kind_of i = (Dfg.Graph.node g i).Dfg.Graph.kind in
@@ -79,7 +79,7 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
         match missing with
         | Some nd ->
             Error
-              (Diag.inputf ~code:"mfsa.missing-kind"
+              (Diag.makef Diag.Input ~code:"mfsa.missing-kind"
                  "MFSA: no ALU kind in the library executes %s (%s)"
                  nd.Dfg.Graph.name
                  (Dfg.Op.to_string nd.Dfg.Graph.kind))
@@ -530,10 +530,7 @@ let run_at ?(config = Config.default) ?(style = Unrestricted)
                     Rtl.Datapath.elaborate ?latency g ~start ~delay:node_delay
                       ~cs ~assignments
                   with
-                  | Error e ->
-                      Error
-                        (Diag.internal ~code:"mfsa.elaborate"
-                           ("MFSA: elaboration failed: " ^ e))
+                  | Error d -> Error d
                   | Ok datapath ->
                       let schedule = Schedule.make ~offset ~config ~cs g start in
                       let cost = Rtl.Cost.of_datapath library datapath in
@@ -605,11 +602,25 @@ let run_resource ?(config = Config.default) ?style ?weights ~library ~limits g
         (fun acc nd -> acc + Config.delay config nd.Dfg.Graph.kind)
         1 (Dfg.Graph.nodes g)
     in
+    (* Past the horizon under style 2: when style 1 binds there under the
+       same caps, the style stopped the search, not the caps. *)
+    let style1_binds () =
+      match run_at ~config ?weights ~unit_caps:limits ~library ~cs:hi g with
+      | Ok _ -> true
+      | Error _ | (exception Infeasible_at_cs) -> false
+    in
     let rec search cs =
       if cs > hi then
-        Error
-          (Diag.infeasible ~code:"mfsa.horizon"
-             "MFSA: resource-constrained search exceeded the serial horizon")
+        if style = Some No_self_loop && style1_binds () then
+          Error
+            (Diag.infeasible ~code:"mfsa.style2-deadlock"
+               "MFSA: no style-2 placement within the serial horizon; \
+                style 1 binds under the same caps")
+        else
+          Error
+            (Diag.infeasible ~code:"mfsa.horizon"
+               "MFSA: resource-constrained search exceeded the serial \
+                horizon")
       else
         match
           run_at ~config ?style ?weights ~unit_caps:limits ~library ~cs g

@@ -76,4 +76,7 @@ val run_resource :
     unconstrained), minimising control steps first and datapath cost second
     — the [V = cs*x + y] regime of §3.1 carried over to allocation: the
     energy's time term becomes a tie-break and the incremental-cost terms
-    dominate. The returned schedule's [cs] is the achieved makespan. *)
+    dominate. The returned schedule's [cs] is the achieved makespan.
+    A search that passes the serial horizon is infeasible: under style 2
+    it is [mfsa.style2-deadlock] when style 1 binds at the horizon under
+    the same caps, and [mfsa.horizon] otherwise. *)

@@ -24,7 +24,7 @@ let add_instance b g suffix =
     (fun (v, w) -> Dfg.Graph.Builder.declare_width b (rename v) w)
     (Dfg.Graph.declared_widths g)
 
-let instances ~what suffixes g =
+let instances suffixes g =
   let b = Dfg.Graph.Builder.create () in
   List.iter
     (fun (bk : Dfg.Graph.bank_decl) ->
@@ -32,13 +32,7 @@ let instances ~what suffixes g =
         ~ports:bk.Dfg.Graph.b_ports)
     (Dfg.Graph.banks g);
   List.iter (add_instance b g) suffixes;
-  match Dfg.Graph.Builder.build b with
-  | Ok gk -> Ok gk
-  | Error msg ->
-      Error
-        (Diag.internal ~code:"pipeline.rename"
-           (Printf.sprintf "Pipeline.%s: renaming broke the graph: %s" what
-              msg))
+  Dfg.Graph.Builder.build b
 
 let replicate ~copies g =
   if copies < 1 then
@@ -46,13 +40,13 @@ let replicate ~copies g =
       (Diag.input ~code:"pipeline.bad-copies"
          "Pipeline.replicate: copies must be >= 1")
   else
-    instances ~what:"replicate"
+    instances
       (List.init copies (fun k -> Printf.sprintf "_i%d" (k + 1)))
       g
 
 let double ?(suffixes = ("_i1", "_i2")) g =
   let s1, s2 = suffixes in
-  instances ~what:"double" [ s1; s2 ] g
+  instances [ s1; s2 ] g
 
 let unfold sched ~latency ?instances () =
   let g = sched.Schedule.graph in

@@ -15,9 +15,9 @@ val replicate : copies:int -> Dfg.Graph.t -> (Dfg.Graph.t, Diag.t) result
     renamed too and stay in their original's bank, so the instances share
     its ports but get no address edges between them.
 
-    Errors: an [Input] diagnostic when [copies < 1]; an [Internal] one if
-    renaming broke an otherwise valid graph (cannot happen for graphs built
-    through {!Dfg.Graph.Builder}). *)
+    Errors: an [Input] diagnostic when [copies < 1]; the builder's
+    [graph.invalid] if renamed names collide (only custom {!double}
+    suffixes can make them). *)
 
 val double :
   ?suffixes:string * string -> Dfg.Graph.t -> (Dfg.Graph.t, Diag.t) result

@@ -9,9 +9,9 @@ val step_admissible :
     multi-cycle finishes and — under chaining — intra-step offsets. Returns
     the operation's own start offset within the step, or [None]. *)
 
-val bounds : Config.t -> Dfg.Graph.t -> cs:int -> (Dfg.Bounds.t, string) result
+val bounds : Config.t -> Dfg.Graph.t -> cs:int -> (Dfg.Bounds.t, Diag.t) result
 (** Frames within [cs] steps; under chaining the step components of the
-    chained frames. *)
+    chained frames. Fails with {!Dfg.Bounds}' infeasible diagnostics. *)
 
 val min_cs : Config.t -> Dfg.Graph.t -> int
 (** Smallest feasible time budget under the configuration. *)

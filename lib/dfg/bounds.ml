@@ -30,7 +30,9 @@ let critical_path ?(delays = unit_delays) g =
   List.fold_left (fun acc i -> max acc (finish i)) 0 (Graph.topological g)
 
 let compute ?(delays = unit_delays) g ~cs =
-  if cs < 1 then Error (Printf.sprintf "time budget %d < 1" cs)
+  if cs < 1 then
+    Error
+      (Diag.makef Diag.Infeasible ~code:"bounds.budget" "time budget %d < 1" cs)
   else
     let n = Graph.num_nodes g in
     let asap = asap_schedule ~delays g in
@@ -52,7 +54,7 @@ let compute ?(delays = unit_delays) g ~cs =
     match !infeasible with
     | Some name ->
         Error
-          (Printf.sprintf
+          (Diag.makef Diag.Infeasible ~code:"bounds.infeasible-budget"
              "infeasible: operation %S cannot fit in %d control steps \
               (critical path is %d)"
              name cs (critical_path ~delays g))
@@ -115,7 +117,7 @@ let check_fits ?(delays = unit_delays) ?(node_prop = no_override) ~prop_delay
   match offender with
   | Some nd ->
       Error
-        (Printf.sprintf
+        (Diag.makef Diag.Infeasible ~code:"bounds.chain-clock"
            "operation %S (%s) has delay %.2f ns > clock period %.2f ns"
            nd.Graph.name
            (Op.to_string nd.Graph.kind)
@@ -222,7 +224,7 @@ let compute_chained ?(delays = unit_delays) ?(node_prop = no_override)
       (match !infeasible with
       | Some name ->
           Error
-            (Printf.sprintf
+            (Diag.makef Diag.Infeasible ~code:"bounds.infeasible-budget"
                "infeasible under chaining: operation %S cannot fit in %d steps"
                name cs)
       | None -> Ok { ch_asap; ch_alap; ch_cs = cs })

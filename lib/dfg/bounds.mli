@@ -17,9 +17,10 @@ type t = {
   cs : int;  (** The time budget the frames were computed against. *)
 }
 
-val compute : ?delays:delays -> Graph.t -> cs:int -> (t, string) result
-(** Time frames within [cs] control steps. [Error] when the critical path
-    exceeds [cs]. *)
+val compute : ?delays:delays -> Graph.t -> cs:int -> (t, Diag.t) result
+(** Time frames within [cs] control steps. Infeasible when [cs < 1]
+    ([bounds.budget]) or when the critical path exceeds [cs]
+    ([bounds.infeasible-budget]). *)
 
 val critical_path : ?delays:delays -> Graph.t -> int
 (** Smallest feasible number of control steps (length of the longest
@@ -50,10 +51,10 @@ type chained = {
 val compute_chained :
   ?delays:delays -> ?node_prop:(Graph.node -> float option) ->
   prop_delay:(Op.kind -> float) -> clock:float ->
-  Graph.t -> cs:int -> (chained, string) result
+  Graph.t -> cs:int -> (chained, Diag.t) result
 (** Chaining-aware frames. Each 1-cycle operation must individually fit in
-    the clock period; [Error] otherwise, or when the chained critical path
-    exceeds [cs]. With [delays], multi-cycle operations occupy their full
+    the clock period (infeasible [bounds.chain-clock] otherwise), and the
+    chained critical path must fit [cs] ([bounds.infeasible-budget]). With [delays], multi-cycle operations occupy their full
     span and never chain — their edges register the value, available at
     offset 0 of the following step. [node_prop] overrides the per-kind
     propagation delay for individual nodes (width-scaled delays). *)
@@ -61,5 +62,6 @@ val compute_chained :
 val chained_critical_path :
   ?delays:delays -> ?node_prop:(Graph.node -> float option) ->
   prop_delay:(Op.kind -> float) -> clock:float ->
-  Graph.t -> (int, string) result
-(** Minimum step count with chaining (and multi-cycle [delays]). *)
+  Graph.t -> (int, Diag.t) result
+(** Minimum step count with chaining (and multi-cycle [delays]); fails
+    like {!compute_chained} when an operation is slower than the clock. *)

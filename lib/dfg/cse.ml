@@ -48,12 +48,14 @@ let eliminate_once g =
 
 (* Iterate to a fixpoint: forward references can hide duplicates from a
    single pass. Each round removes at least one node, so this ends. *)
-let rec eliminate g =
+let rec run g =
   match eliminate_once g with
   | Error _ as e -> e
-  | Ok g' -> if Graph.num_nodes g' = Graph.num_nodes g then Ok g' else eliminate g'
+  | Ok g' -> if Graph.num_nodes g' = Graph.num_nodes g then Ok g' else run g'
+
+let eliminate g = Result.map_error Diag.message (run g)
 
 let savings g =
-  match eliminate g with
+  match run g with
   | Ok g' -> Graph.num_nodes g - Graph.num_nodes g'
   | Error _ -> 0

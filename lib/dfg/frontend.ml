@@ -351,10 +351,7 @@ let compile src =
           in
           match elaborate env [] stmts with
           | exception Fail d -> Error d
-          | () ->
-              Result.map_error
-                (Diag.input ~code:"beh.invalid-graph")
-                (Graph.Builder.build env.builder)))
+          | () -> Graph.Builder.build env.builder))
 
 let compile_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -68,13 +68,16 @@ module Builder = struct
 
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+  (* The builder checks the graph as given: every rejection is bad input. *)
+  let invalid fmt = Diag.makef Diag.Input ~code:"graph.invalid" fmt
+
   let check_unique inputs arrays ops =
     let seen = Hashtbl.create 64 in
     let rec go kind_of = function
       | [] -> Ok ()
       | name :: rest ->
           if Hashtbl.mem seen name then
-            Error (Printf.sprintf "duplicate value name %S" name)
+            Error (invalid "duplicate value name %S" name)
           else begin
             Hashtbl.add seen name ();
             go kind_of rest
@@ -92,7 +95,7 @@ module Builder = struct
       | a :: rest ->
           if a.a_size < 1 then
             Error
-              (Printf.sprintf "array %S has non-positive size %d" a.a_name
+              (invalid "array %S has non-positive size %d" a.a_name
                  a.a_size)
           else go_a rest
     in
@@ -100,10 +103,10 @@ module Builder = struct
       | [] -> Ok ()
       | b :: rest ->
           if List.mem b.b_name seen then
-            Error (Printf.sprintf "duplicate bank declaration %S" b.b_name)
+            Error (invalid "duplicate bank declaration %S" b.b_name)
           else if b.b_ports < 1 then
             Error
-              (Printf.sprintf "bank %S has non-positive port count %d"
+              (invalid "bank %S has non-positive port count %d"
                  b.b_name b.b_ports)
           else go_b (b.b_name :: seen) rest
     in
@@ -114,7 +117,7 @@ module Builder = struct
           match (Op.is_mem p.p_kind, p.p_args) with
           | true, arr :: _ when not (is_array arr) ->
               Error
-                (Printf.sprintf
+                (invalid
                    "node %S: %s expects a declared array first, got %S"
                    p.p_name (Op.to_string p.p_kind) arr)
           | true, _ ->
@@ -125,7 +128,7 @@ module Builder = struct
               (match offender with
               | Some arr ->
                   Error
-                    (Printf.sprintf
+                    (invalid
                        "node %S uses array %S as a plain value" p.p_name arr)
               | None -> go_ops rest)
           | false, args ->
@@ -135,7 +138,7 @@ module Builder = struct
               (match offender with
               | Some arr ->
                   Error
-                    (Printf.sprintf
+                    (invalid
                        "node %S uses array %S as a plain value" p.p_name arr)
               | None -> go_ops rest))
     in
@@ -151,7 +154,7 @@ module Builder = struct
           let got = List.length p.p_args in
           if expected <> got then
             Error
-              (Printf.sprintf "node %S: %s expects %d operand(s), got %d"
+              (invalid "node %S: %s expects %d operand(s), got %d"
                  p.p_name (Op.to_string p.p_kind) expected got)
           else go rest
     in
@@ -188,7 +191,7 @@ module Builder = struct
           (match offender with
           | Some src ->
               Error
-                (Printf.sprintf
+                (invalid
                    "node %S reads %S, which is only defined on another \
                     branch (guard scoping)"
                    p.p_name src)
@@ -214,7 +217,7 @@ module Builder = struct
           | [] -> go rest
           | m :: _ ->
               Error
-                (Printf.sprintf "node %S references unknown value %S" p.p_name m))
+                (invalid "node %S references unknown value %S" p.p_name m))
     in
     go ops
 
@@ -235,7 +238,8 @@ module Builder = struct
           if indeg.(s) = 0 then Queue.add s queue)
         succ_arr.(i)
     done;
-    if !count = num_nodes then Ok (List.rev !order) else Error "cycle in DFG"
+    if !count = num_nodes then Ok (List.rev !order)
+    else Error (invalid "cycle in DFG")
 
   (* Annotations may name inputs or nodes; ranges must be non-empty and
      widths representable (1..64 bits — the word itself is 32, wider
@@ -248,20 +252,20 @@ module Builder = struct
       | [] -> Ok ()
       | (name, (lo, hi)) :: rest ->
           if not (Hashtbl.mem known name) then
-            Error (Printf.sprintf "range declared for unknown value %S" name)
+            Error (invalid "range declared for unknown value %S" name)
           else if lo > hi then
             Error
-              (Printf.sprintf "range for %S is empty (%d > %d)" name lo hi)
+              (invalid "range for %S is empty (%d > %d)" name lo hi)
           else go_r rest
     in
     let rec go_w = function
       | [] -> Ok ()
       | (name, w) :: rest ->
           if not (Hashtbl.mem known name) then
-            Error (Printf.sprintf "width declared for unknown value %S" name)
+            Error (invalid "width declared for unknown value %S" name)
           else if w < 1 || w > 64 then
             Error
-              (Printf.sprintf "width for %S out of range (%d bits)" name w)
+              (invalid "width for %S out of range (%d bits)" name w)
           else go_w rest
     in
     let* () = go_r ranges in

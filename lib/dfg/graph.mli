@@ -76,18 +76,18 @@ module Builder : sig
       rewriters (CSE, mutex encoding) use this so memory declarations
       survive a rebuild. *)
 
-  val build : t -> (graph, string) result
+  val build : t -> (graph, Diag.t) result
   (** Validate and freeze: unique names, known operand/guard references,
       arity match, acyclicity, and guard scoping — a value is defined
       exactly when its guards hold, so a producer's guards must be a subset
-      of every consumer's (no cross-branch reads). Errors carry a
-      human-readable reason. *)
+      of every consumer's (no cross-branch reads). A rejection is a
+      [graph.invalid] input error carrying a human-readable reason. *)
 end
 
 val of_ops :
   inputs:string list ->
   (string * Op.kind * string list * (string * bool) list) list ->
-  (t, string) result
+  (t, Diag.t) result
 (** Convenience one-shot constructor: [(name, kind, args, guards)] rows. *)
 
 val num_nodes : t -> int

@@ -301,9 +301,7 @@ let parse src =
             annots;
           (* Whole-graph properties (cycles, guard scoping) have no single
              source position. *)
-          match Graph.Builder.build b with
-          | Ok g -> Ok g
-          | Error msg -> Error (Diag.input ~code:"parse.invalid-graph" msg)))
+          Graph.Builder.build b))
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with

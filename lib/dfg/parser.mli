@@ -25,7 +25,7 @@
     Rejections are typed diagnostics: word-level errors (unknown operation,
     arity mismatch, unresolved operand, duplicate definition) carry a
     line/column span pointing at the offending word; whole-graph errors
-    (cycles, guard scoping) are span-less. *)
+    (cycles, guard scoping) are the builder's span-less [graph.invalid]. *)
 
 val parse : string -> (Graph.t, Diag.t) result
 

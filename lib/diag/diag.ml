@@ -30,12 +30,13 @@ let partial ?(code = "batch.partial-failure") message = make Partial ~code messa
 let unavailable ?(code = "serve.overloaded") message =
   make Unavailable ~code message
 
-let inputf ?span ?file ~code fmt =
-  Printf.ksprintf (fun s -> input ?span ?file ~code s) fmt
+let makef ?severity ?span ?file category ~code fmt =
+  Printf.ksprintf (make ?severity ?span ?file category ~code) fmt
 
 let with_file file d =
   match d.file with Some _ -> d | None -> { d with file = Some file }
 
+let prefix p d = { d with message = p ^ d.message }
 let message d = d.message
 
 let exit_code d =
@@ -125,5 +126,3 @@ let to_json d =
   Buffer.contents buf
 
 let list_to_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
-
-let of_msg category ~code message = make category ~code message

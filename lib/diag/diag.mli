@@ -59,12 +59,16 @@ val internal : ?code:string -> string -> t
 val partial : ?code:string -> string -> t
 val unavailable : ?code:string -> string -> t
 
-val inputf :
-  ?span:span -> ?file:string -> code:string ->
-  ('a, unit, string, t) format4 -> 'a
+val makef :
+  ?severity:severity -> ?span:span -> ?file:string -> category ->
+  code:string -> ('a, unit, string, t) format4 -> 'a
+(** {!make} with a printf-style message. *)
 
 val with_file : string -> t -> t
 (** Attach the originating file name (kept if already set). *)
+
+val prefix : string -> t -> t
+(** Prepend context to the message, keeping code and category. *)
 
 val message : t -> string
 
@@ -98,6 +102,3 @@ val to_json : t -> string
 
 val list_to_json : t list -> string
 (** JSON array of {!to_json} objects. *)
-
-val of_msg : category -> code:string -> string -> t
-(** Wrap a legacy string error, no span. *)

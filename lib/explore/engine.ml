@@ -174,7 +174,7 @@ let run ?(workers = 1) ?cache ?journal ?(resume = false) ?(deadline = 60.)
             ~log ~deadline (List.map fst jobs)
   in
   let* g0 = Batch.Manifest.load_graph spec.Spec.graph in
-  let* graph = if spec.Spec.cse then Harness.Problem.cse g0 else Ok g0 in
+  let* graph = if spec.Spec.cse then Dfg.Cse.run g0 else Ok g0 in
   let seed_points = Lattice.expand spec in
   let* store =
     match cache with None -> Ok (Cache.empty ()) | Some p -> Cache.load p

@@ -203,8 +203,8 @@ let evaluate ~graph p =
   in
   let price s =
     Result.map
-      (fun cost -> (s, cost))
-      (Harness.Problem.colbind_cost ?widths prob s)
+      (fun dp -> (s, Rtl.Cost.of_datapath ?widths lib dp))
+      (Harness.Problem.colbind_datapath lib config graph s)
   in
   let outcome =
     match (p.engine, p.constr) with
@@ -223,18 +223,10 @@ let evaluate ~graph p =
           | Spec.Resource limits -> Core.Mfs.Resource { limits }
         in
         Result.bind (Core.Mfs.schedule ~config graph spec_kind) price
-    | Spec.List_sched, constr ->
-        let sched =
-          match constr with
-          | Spec.Time t -> Baselines.List_sched.time ~config graph ~cs:(cs t)
-          | Spec.Resource limits ->
-              Baselines.List_sched.resource ~config graph ~limits
-        in
-        Result.bind
-          (Result.map_error
-             (Diag.of_msg Diag.Infeasible ~code:"explore.engine")
-             sched)
-          price
+    | Spec.List_sched, Spec.Time t ->
+        Result.bind (Baselines.List_sched.time ~config graph ~cs:(cs t)) price
+    | Spec.List_sched, Spec.Resource limits ->
+        Result.bind (Baselines.List_sched.resource ~config graph ~limits) price
   in
   Result.map
     (fun ((s : Core.Schedule.t), (cost : Rtl.Cost.breakdown)) ->

@@ -76,7 +76,8 @@ type outcome = {
    is meant to catch hangs-in-the-making, not cycles. *)
 let now () = Unix.gettimeofday ()
 
-let colbind_datapath = Problem.colbind_datapath
+let colbind_datapath lib config g s =
+  Result.map_error Diag.message (Problem.colbind_datapath lib config g s)
 
 let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
   let stages = ref [] in
@@ -119,12 +120,10 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
     if not options.cse then g0
     else
       timed "cse" (fun () ->
-          match Dfg.Cse.eliminate g0 with
+          match Dfg.Cse.run g0 with
           | Ok g -> g
-          | Error msg ->
-              violate
-                (Diag.internal ~code:"harness.cse"
-                   ("CSE failed on a valid graph: " ^ msg));
+          | Error d ->
+              violate d;
               g0)
   in
   let prob =
@@ -169,10 +168,7 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
           Baselines.Colbind.columns config g ~start:s.Core.Schedule.start
         in
         `Fallback { s with Core.Schedule.col = Some col }
-    | Error msg ->
-        `Stop
-          (Diag.infeasible ~code:"harness.fallback-schedule"
-             ("list-scheduling fallback also failed: " ^ msg))
+    | Error d -> `Stop d
   in
   let sched_result =
     timed "schedule" (fun () ->
@@ -239,10 +235,7 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
       let baseline_bind () =
         match Problem.colbind_datapath lib config g pristine with
         | Ok dp -> `Fallback dp
-        | Error msg ->
-            `Stop
-              (Diag.internal ~code:"harness.fallback-bind"
-                 ("column-packed binding fallback failed: " ^ msg))
+        | Error d -> `Stop d
       in
       let bind_result =
         timed "bind" (fun () ->
@@ -299,51 +292,35 @@ let run ?fault ?(budgets = default_budgets) ?(options = default_options) g0 =
               | Error ds -> List.iter violate ds);
           (* --- Controller + simulation vs the golden model. *)
           let ctrl =
-            timed "controller" (fun () ->
-                match Rtl.Controller.generate dp ~delay with
-                | Ok c -> Some c
-                | Error msg ->
-                    violate
-                      (Diag.internal ~code:"harness.controller"
-                         ("controller generation failed: " ^ msg));
-                    None)
+            timed "controller" (fun () -> Rtl.Controller.make dp ~delay)
           in
           (* --- Static post-gate: schedule, lifetime, trace and RTL
              dataflow audits; error findings count as violations. *)
           timed "lint-post" (fun () ->
               let fs =
                 Analysis.Runner.post_schedule ?trace sched
-                @
-                match ctrl with
-                | Some c ->
-                    Analysis.Runner.post_rtl
-                      ~share_mutex:config.Core.Config.share_mutex
-                      ?latency:config.Core.Config.functional_latency dp c
-                      ~delay:eff_delay
-                | None -> []
+                @ Analysis.Runner.post_rtl
+                    ~share_mutex:config.Core.Config.share_mutex
+                    ?latency:config.Core.Config.functional_latency dp ctrl
+                    ~delay:eff_delay
               in
               List.iter
                 (fun f -> violate f.Analysis.Finding.diag)
                 (Analysis.Finding.errors fs));
-          (match ctrl with
+          timed "sim" (fun () ->
+              match Sim.Equiv.check_random ~runs:budgets.sim_runs dp ctrl with
+              | Ok () -> ()
+              | Error d -> violate d);
+          (* --- Narrowing safety: the width-truncated machine must stay
+             bit-exact against the full-width golden model. *)
+          (match Problem.widths prob with
           | None -> ()
-          | Some ctrl ->
-              timed "sim" (fun () ->
+          | Some widths ->
+              timed "narrowing" (fun () ->
                   match
-                    Sim.Equiv.check_random ~runs:budgets.sim_runs dp ctrl
+                    Sim.Equiv.check_narrowing ~runs:budgets.sim_runs ~widths
+                      dp ctrl
                   with
                   | Ok () -> ()
-                  | Error d -> violate d);
-              (* --- Narrowing safety: the width-truncated machine must stay
-                 bit-exact against the full-width golden model. *)
-              match Problem.widths prob with
-              | None -> ()
-              | Some widths ->
-                  timed "narrowing" (fun () ->
-                      match
-                        Sim.Equiv.check_narrowing ~runs:budgets.sim_runs
-                          ~widths dp ctrl
-                      with
-                      | Ok () -> ()
-                      | Error d -> violate d));
+                  | Error d -> violate d));
           finish ~schedule:sched ~sched_via ~bind_via ()

@@ -87,5 +87,5 @@ val run :
 val colbind_datapath :
   Celllib.Library.t -> Core.Config.t -> Dfg.Graph.t -> Core.Schedule.t ->
   (Rtl.Datapath.t, string) result
-(** {!Problem.colbind_datapath}, kept under this name for the benchmark
-    harness that calls it. *)
+(** {!Problem.colbind_datapath} with the diagnostic's message, kept under
+    this name and type for the benchmark harness that calls it. *)

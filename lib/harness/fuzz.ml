@@ -41,7 +41,7 @@ type verdict =
 
 let run_case ?fault ~budgets case =
   match graph_of_case case with
-  | Error msg -> Failed ("crash:invalid-case", msg)
+  | Error d -> Failed ("crash:invalid-case", Diag.message d)
   | Ok g -> (
       match Driver.run ?fault ~budgets ~options:case.options g with
       | exception e -> Failed ("crash:" ^ exn_key e, Printexc.to_string e)

@@ -18,7 +18,7 @@ type case = {
   options : Driver.options;
 }
 
-val graph_of_case : case -> (Dfg.Graph.t, string) result
+val graph_of_case : case -> (Dfg.Graph.t, Diag.t) result
 val case_of_graph : Driver.options -> Dfg.Graph.t -> case
 val case_size : case -> int
 

@@ -48,11 +48,6 @@ let delay p i = Core.Config.delay p.config (Dfg.Graph.node p.graph i).Dfg.Graph.
 
 let widths p = Option.map (fun f name -> Analysis.Ranges.width_of f name) p.facts
 
-let cse g =
-  Result.map_error
-    (Diag.of_msg Diag.Input ~code:"cse.invalid-graph")
-    (Dfg.Cse.eliminate g)
-
 (* Every (kind, column) pair of the schedule becomes one single-function
    ALU instance; [fu_class] is injective per kind, so each group is
    kind-homogeneous. Memory accesses are left out: [Rtl.Datapath.elaborate]
@@ -81,8 +76,3 @@ let colbind_datapath lib config g s =
   let delay i = Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind in
   Rtl.Datapath.elaborate ?latency:config.Core.Config.functional_latency g
     ~start:s.Core.Schedule.start ~delay ~cs:s.Core.Schedule.cs ~assignments
-
-let colbind_cost ?widths p s =
-  match colbind_datapath p.library p.config p.graph s with
-  | Error e -> Error (Diag.of_msg Diag.Internal ~code:"explore.bind" e)
-  | Ok dp -> Ok (Rtl.Cost.of_datapath ?widths p.library dp)

@@ -41,20 +41,12 @@ val delay : t -> int -> int
 val widths : t -> (string -> int) option
 (** Inferred bit width per value name, in width-aware mode. *)
 
-val cse : Dfg.Graph.t -> (Dfg.Graph.t, Diag.t) result
-(** Common-subexpression elimination; a rejection is a
-    [cse.invalid-graph] input error. *)
-
 val colbind_datapath :
   Celllib.Library.t -> Core.Config.t -> Dfg.Graph.t -> Core.Schedule.t ->
-  (Rtl.Datapath.t, string) result
+  (Rtl.Datapath.t, Diag.t) result
 (** Column-packed binding: every (kind, column) pair of the schedule's FU
     columns becomes one single-function ALU instance, and memory accesses
     go to their bank's ports. The MFSA fallback of {!Driver}, and how
-    the MFS and list schedules are priced. *)
-
-val colbind_cost :
-  ?widths:(string -> int) -> t -> Core.Schedule.t ->
-  (Rtl.Cost.breakdown, Diag.t) result
-(** {!colbind_datapath} priced with {!Rtl.Cost.of_datapath}; a binding
-    failure is an internal [explore.bind] error. *)
+    the MFS and list schedules are priced (with {!Rtl.Cost.of_datapath}).
+    A binding {!Rtl.Datapath.elaborate} rejects is its internal
+    [datapath.invalid] error. *)

@@ -191,7 +191,7 @@ let config_energy objective st g =
 
 let run_time cfg g ~cs ~user_limits =
   match effective_bounds cfg g ~cs with
-  | Error _ as e -> e
+  | Error d -> Error (Diag.message d)
   | Ok bounds ->
       let order = Core.Priority.order cfg g bounds in
       let current, max_j, user_limited =

@@ -30,7 +30,7 @@ let rec chain_depth g start memo i =
       Hashtbl.replace memo i d;
       d
 
-let generate (dp : Datapath.t) ~delay =
+let make (dp : Datapath.t) ~delay =
   let g = dp.Datapath.graph in
   let memo = Hashtbl.create 16 in
   let micros =
@@ -68,7 +68,9 @@ let generate (dp : Datapath.t) ~delay =
         Option.map (fun r -> (v, r)) (Left_edge.register_of dp.Datapath.regs v))
       (Dfg.Graph.inputs g)
   in
-  Ok { steps = dp.Datapath.cs; micros; input_loads }
+  { steps = dp.Datapath.cs; micros; input_loads }
+
+let generate dp ~delay = Ok (make dp ~delay)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>controller: %d states@," t.steps;

@@ -28,9 +28,12 @@ type t = {
       (** Registers to preload with primary inputs before state 1. *)
 }
 
+val make : Datapath.t -> delay:(int -> int) -> t
+(** Derive the controller from an elaborated datapath; it cannot fail.
+    Micro-orders within a step are emitted in chaining order (producers
+    before same-step consumers), which the simulator relies on. *)
+
 val generate : Datapath.t -> delay:(int -> int) -> (t, string) result
-(** Derive the controller from an elaborated datapath. Micro-orders within a
-    step are emitted in chaining order (producers before same-step
-    consumers), which the simulator relies on. *)
+(** {!make}, always [Ok], for callers that take a result. *)
 
 val pp : Format.formatter -> t -> unit

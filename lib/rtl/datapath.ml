@@ -37,6 +37,10 @@ let source_tag = function
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+(* The schedule and the assignment come from a scheduler or a binder, not
+   from the user: a netlist they cannot build is a defect. *)
+let invalid fmt = Diag.makef Diag.Internal ~code:"datapath.invalid" fmt
+
 let validate_assignments g assignments =
   let n = Dfg.Graph.num_nodes g in
   let seen = Array.make n 0 in
@@ -47,20 +51,20 @@ let validate_assignments g assignments =
           | [] -> check_each rest
           | i :: more ->
               if i < 0 || i >= n then
-                Error (Printf.sprintf "assignment references unknown node %d" i)
+                Error (invalid "assignment references unknown node %d" i)
               else begin
                 seen.(i) <- seen.(i) + 1;
                 let nd = Dfg.Graph.node g i in
                 if Dfg.Op.is_mem nd.Dfg.Graph.kind then
                   Error
-                    (Printf.sprintf
+                    (invalid
                        "memory access %s runs on a bank port, not ALU %s"
                        nd.Dfg.Graph.name kind.Celllib.Library.aname)
                 else if
                   not (Celllib.Op_set.mem nd.Dfg.Graph.kind kind.Celllib.Library.ops)
                 then
                   Error
-                    (Printf.sprintf "op %s (%s) assigned to incapable ALU %s"
+                    (invalid "op %s (%s) assigned to incapable ALU %s"
                        nd.Dfg.Graph.name
                        (Dfg.Op.to_string nd.Dfg.Graph.kind)
                        kind.Celllib.Library.aname)
@@ -84,11 +88,11 @@ let validate_assignments g assignments =
   match (!missing, !dup) with
   | Some i, _ ->
       Error
-        (Printf.sprintf "node %s missing from the ALU assignment"
+        (invalid "node %s missing from the ALU assignment"
            (Dfg.Graph.node g i).Dfg.Graph.name)
   | _, Some i ->
       Error
-        (Printf.sprintf "node %s assigned to several ALUs"
+        (invalid "node %s assigned to several ALUs"
            (Dfg.Graph.node g i).Dfg.Graph.name)
   | None, None -> Ok ()
 
@@ -136,7 +140,7 @@ let elaborate ?(include_inputs = true) ?latency g ~start ~delay
     with
     | Some nd ->
         Error
-          (Printf.sprintf "memory access %s names no declared array"
+          (invalid "memory access %s names no declared array"
              nd.Dfg.Graph.name)
     | None ->
         let banks =
@@ -183,7 +187,7 @@ let elaborate ?(include_inputs = true) ?latency g ~start ~delay
           | Some r -> Ok (From_reg r)
           | None ->
               Error
-                (Printf.sprintf "value %s crosses a boundary but has no register"
+                (invalid "value %s crosses a boundary but has no register"
                    arg)
         else Ok (From_alu alu_of.(p))
   in
@@ -192,10 +196,9 @@ let elaborate ?(include_inputs = true) ?latency g ~start ~delay
     | nd :: rest ->
         let rec operands srcs = function
           | [] -> Ok (List.rev srcs)
-          | arg :: more -> (
-              match resolve nd.Dfg.Graph.id arg with
-              | Ok s -> operands (s :: srcs) more
-              | Error _ as e -> e)
+          | arg :: more ->
+              let* s = resolve nd.Dfg.Graph.id arg in
+              operands (s :: srcs) more
         in
         (* A memory access names its array first; the array is the bank
            interface, not a routed value. *)
@@ -206,9 +209,8 @@ let elaborate ?(include_inputs = true) ?latency g ~start ~delay
             | [] -> ([], [])
           else (nd.Dfg.Graph.args, [])
         in
-        (match operands [] direct with
-        | Ok srcs -> resolve_all ((nd.Dfg.Graph.id, prefix @ srcs) :: acc) rest
-        | Error _ as e -> e)
+        let* srcs = operands [] direct in
+        resolve_all ((nd.Dfg.Graph.id, prefix @ srcs) :: acc) rest
   in
   let* operand_sources = resolve_all [] (Dfg.Graph.nodes g) in
   let alus =

@@ -64,12 +64,13 @@ val elaborate :
   ?include_inputs:bool -> ?latency:int -> Dfg.Graph.t -> start:int array ->
   delay:(int -> int) -> cs:int ->
   assignments:(Celllib.Library.alu_kind * int list) list ->
-  (t, string) result
+  (t, Diag.t) result
 (** Build the netlist from a schedule and an op→ALU assignment, binding
     each bank's accesses to ports with {!bind_ports}; [latency] is the
-    scheduling configuration's. Errors when an
-    assignment references an unknown node, omits or duplicates a node, or
-    puts an operation on a unit that cannot execute it. *)
+    scheduling configuration's. An internal [datapath.invalid] error when
+    an assignment references an unknown node, omits or duplicates a node,
+    or puts an operation on a unit that cannot execute it, and when a
+    value crossing a step boundary gets no register. *)
 
 val source_tag : source -> string
 (** Stable tag used for multiplexer input sharing. *)

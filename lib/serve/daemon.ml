@@ -106,7 +106,7 @@ let resolve_graph st source ~cse =
         | P.Named n -> Batch.Manifest.load_graph n
       in
       let parsed =
-        if cse then Result.bind parsed Harness.Problem.cse else parsed
+        if cse then Result.bind parsed Dfg.Cse.run else parsed
       in
       Result.map
         (fun g ->
@@ -146,7 +146,7 @@ let cached_entry_response ~id (e : Cache.entry) =
   | Cache.Metrics m -> P.ok_response ~id ~cached:true (Lattice.metrics_to_json m)
   | Cache.Infeasible code ->
       P.error_response ~id
-        (Diag.of_msg Diag.Infeasible ~code "point is infeasible (cached)")
+        (Diag.infeasible ~code "point is infeasible (cached)")
 
 (* Enqueue one pool-bound request, coalescing on the job id: a second
    request for work already queued or running just joins its waiters. *)

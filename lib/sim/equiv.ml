@@ -5,27 +5,21 @@ type mismatch = {
 }
 
 let mismatches ?widths dp ctrl ~env =
+  let ( let* ) = Result.bind in
   let g = dp.Rtl.Datapath.graph in
-  match Eval.run g env with
-  | Error e -> Error (Diag.input ~code:"sim.golden" ("golden model: " ^ e))
-  | Ok golden -> (
-      match Machine.run ?widths dp ctrl ~env with
-      | Error e ->
-          Error (Diag.internal ~code:"sim.machine" ("machine: " ^ e))
-      | Ok r ->
-          let bad =
-            List.filter_map
-              (fun nd ->
-                let name = nd.Dfg.Graph.name in
-                if Eval.active g ~values:golden nd.Dfg.Graph.id then
-                  let expected = Option.get (Eval.value golden name) in
-                  match List.assoc_opt name r.Machine.values with
-                  | Some got when got = expected -> None
-                  | got -> Some { node = name; expected; got }
-                else None)
-              (Dfg.Graph.nodes g)
-          in
-          Ok bad)
+  let* golden = Eval.run g env in
+  let* r = Machine.run ?widths dp ctrl ~env in
+  Ok
+    (List.filter_map
+       (fun nd ->
+         let name = nd.Dfg.Graph.name in
+         if Eval.active g ~values:golden nd.Dfg.Graph.id then
+           let expected = Option.get (Eval.value golden name) in
+           match List.assoc_opt name r.Machine.values with
+           | Some got when got = expected -> None
+           | got -> Some { node = name; expected; got }
+         else None)
+       (Dfg.Graph.nodes g))
 
 let describe m =
   Printf.sprintf "%s: expected %d, got %s" m.node m.expected
@@ -64,8 +58,7 @@ let check_random ?(runs = 20) ?(seed = 42) dp ctrl =
       let env = List.map (fun v -> (v, draw ())) (Dfg.Graph.inputs g) in
       match check dp ctrl ~env with
       | Ok () -> go (k + 1)
-      | Error e ->
-          Error { e with Diag.message = Printf.sprintf "run %d: %s" k e.Diag.message }
+      | Error e -> Error (Diag.prefix (Printf.sprintf "run %d: " k) e)
   in
   go 0
 
@@ -112,11 +105,6 @@ let check_narrowing ?(runs = 20) ?(seed = 7) ~widths dp ctrl =
         match check ~widths dp ctrl ~env with
         | Ok () -> go (k + 1) rest
         | Error e ->
-            Error
-              {
-                e with
-                Diag.message =
-                  Printf.sprintf "narrowing vector %d: %s" k e.Diag.message;
-              })
+            Error (Diag.prefix (Printf.sprintf "narrowing vector %d: " k) e))
   in
   go 0 (directed @ randoms 0 [])

@@ -10,7 +10,10 @@ let run g env =
       | None -> if !missing = None then missing := Some v)
     (Dfg.Graph.inputs g);
   match !missing with
-  | Some v -> Error (Printf.sprintf "input %S missing from environment" v)
+  | Some v ->
+      Error
+        (Diag.makef Diag.Input ~code:"sim.golden"
+           "input %S missing from environment" v)
   | None ->
       (* Arrays start zeroed; loads outside the bounds read 0 and stores
          outside are dropped, so every run is total. Guard conditions are

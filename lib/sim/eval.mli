@@ -4,10 +4,10 @@
 type env = (string * int) list
 (** Values of the primary inputs. *)
 
-val run : Dfg.Graph.t -> env -> ((string * int) list, string) result
+val run : Dfg.Graph.t -> env -> ((string * int) list, Diag.t) result
 (** Every node's value under pure dataflow semantics (guards ignored: a
-    value is computed whether or not its branch is taken). Errors when an
-    input is missing from the environment. *)
+    value is computed whether or not its branch is taken). An input
+    missing from the environment is a [sim.golden] input error. *)
 
 val value : (string * int) list -> string -> int option
 

@@ -1,5 +1,7 @@
 type feedback = (string * string) list
 
+let bad_feedback fmt = Diag.makef Diag.Input ~code:"sim.feedback" fmt
+
 let validate_feedback g ~feedback ~init =
   let bad_out =
     List.find_opt (fun (out, _) -> Dfg.Graph.find g out = None) feedback
@@ -10,15 +12,16 @@ let validate_feedback g ~feedback ~init =
       feedback
   in
   match (bad_out, bad_in) with
-  | Some (out, _), _ -> Error (Printf.sprintf "feedback source %S is not a node" out)
-  | _, Some (_, inp) -> Error (Printf.sprintf "feedback target %S is not an input" inp)
+  | Some (out, _), _ -> Error (bad_feedback "feedback source %S is not a node" out)
+  | _, Some (_, inp) ->
+      Error (bad_feedback "feedback target %S is not an input" inp)
   | None, None ->
       let missing =
         List.find_opt (fun (_, inp) -> List.assoc_opt inp init = None) feedback
       in
       (match missing with
       | Some (_, inp) ->
-          Error (Printf.sprintf "feedback input %S has no initial value" inp)
+          Error (bad_feedback "feedback input %S has no initial value" inp)
       | None -> Ok ())
 
 let drive ~step_one g ~feedback ~consts ~init ~stream ~iterations =
@@ -30,7 +33,7 @@ let drive ~step_one g ~feedback ~consts ~init ~stream ~iterations =
         else
           let env = stream k @ state @ consts in
           match step_one ~env with
-          | Error e -> Error (Printf.sprintf "iteration %d: %s" k e)
+          | Error d -> Error (Diag.prefix (Printf.sprintf "iteration %d: " k) d)
           | Ok values ->
               let next_state =
                 List.map
@@ -71,14 +74,15 @@ let reference g ~feedback ~consts ~init ~stream ~iterations =
                (Dfg.Graph.nodes g)))
     g ~feedback ~consts ~init ~stream ~iterations
 
+let mismatch fmt = Diag.makef Diag.Internal ~code:"sim.mismatch" fmt
+
 let check dp ctrl ~feedback ~consts ~init ~stream ~iterations =
   let g = dp.Rtl.Datapath.graph in
   match
     ( reference g ~feedback ~consts ~init ~stream ~iterations,
       run dp ctrl ~feedback ~consts ~init ~stream ~iterations )
   with
-  | Error e, _ -> Error ("golden model: " ^ e)
-  | _, Error e -> Error ("machine: " ^ e)
+  | Error d, _ | _, Error d -> Error d
   | Ok golden, Ok measured ->
       let rec compare_iters k = function
         | [], [] -> Ok ()
@@ -91,13 +95,13 @@ let check dp ctrl ~feedback ~consts ~init ~stream ~iterations =
             (match bad with
             | Some (name, v) ->
                 Error
-                  (Printf.sprintf
+                  (mismatch
                      "iteration %d: %s expected %d, machine computed %s" k name
                      v
                      (match List.assoc_opt name mv with
                      | Some x -> string_of_int x
                      | None -> "nothing"))
             | None -> compare_iters (k + 1) (grest, mrest))
-        | _ -> Error "iteration count mismatch (internal)"
+        | _ -> Error (mismatch "iteration count mismatch (internal)")
       in
       compare_iters 0 (golden, measured)

@@ -14,20 +14,23 @@ type feedback = (string * string) list
 val run :
   Rtl.Datapath.t -> Rtl.Controller.t -> feedback:feedback ->
   consts:Eval.env -> init:Eval.env -> stream:(int -> Eval.env) ->
-  iterations:int -> ((string * int) list list, string) result
+  iterations:int -> ((string * int) list list, Diag.t) result
 (** Values of every executed node, one list per iteration. [init] gives the
-    state inputs' first-iteration values. Errors: machine failures, or a
-    feedback entry naming an unknown value/input. *)
+    state inputs' first-iteration values. Errors: machine failures (their
+    message prefixed with the iteration), or a feedback entry naming an
+    unknown value/input or lacking an initial value ([sim.feedback],
+    input). *)
 
 val reference :
   Dfg.Graph.t -> feedback:feedback -> consts:Eval.env -> init:Eval.env ->
   stream:(int -> Eval.env) -> iterations:int ->
-  ((string * int) list list, string) result
+  ((string * int) list list, Diag.t) result
 (** The same iteration driven by the golden-model evaluator. *)
 
 val check :
   Rtl.Datapath.t -> Rtl.Controller.t -> feedback:feedback ->
   consts:Eval.env -> init:Eval.env -> stream:(int -> Eval.env) ->
-  iterations:int -> (unit, string) result
+  iterations:int -> (unit, Diag.t) result
 (** Machine vs golden model over the whole stream, comparing every active
-    node of every iteration. *)
+    node of every iteration; a difference is a [sim.mismatch] internal
+    error. The golden model's failures come first, then the machine's. *)

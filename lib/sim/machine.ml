@@ -177,4 +177,4 @@ let run ?widths dp ctrl ~env =
         final_regs = regs;
         trace = List.rev !rev_trace;
       }
-  with Stuck msg -> Error msg
+  with Stuck msg -> Error (Diag.internal ~code:"sim.machine" msg)

@@ -28,10 +28,10 @@ val truncate : width:int -> int -> int
 
 val run :
   ?widths:(string -> int) -> Rtl.Datapath.t -> Rtl.Controller.t ->
-  env:Eval.env -> (run_result, string) result
-(** Execute one iteration. Errors on reads of never-written registers or
-    wires — which is how binding bugs (register clashes, broken chaining)
-    surface in tests.
+  env:Eval.env -> (run_result, Diag.t) result
+(** Execute one iteration. Reads of never-written registers or wires are
+    [sim.machine] internal errors — which is how binding bugs (register
+    clashes, broken chaining) surface in tests.
 
     [widths] maps a value name to its inferred bit width; when given, the
     machine models a width-annotated datapath: inputs and every ALU output

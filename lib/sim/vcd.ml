@@ -70,4 +70,4 @@ let write_file ~path ?design_name dp r =
         Out_channel.output_string oc (emit ?design_name dp r))
   with
   | () -> Ok ()
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg -> Error (Diag.input ~code:"vcd.write" msg)

@@ -11,4 +11,6 @@ val emit :
 
 val write_file :
   path:string -> ?design_name:string -> Rtl.Datapath.t -> Machine.run_result ->
-  (unit, string) result
+  (unit, Diag.t) result
+(** Write {!emit}'s text to [path]; a file that cannot be written is a
+    [vcd.write] input error. *)

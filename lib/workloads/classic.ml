@@ -1,10 +1,11 @@
 let build_exn name rows ~inputs =
   match Dfg.Graph.of_ops ~inputs rows with
   | Ok g -> g
-  | Error msg ->
+  | Error d ->
       (* The tables below are static data; a rejection here is a programming
          error in this file, not a runtime input condition. *)
-      invalid_arg (Printf.sprintf "workload %s is invalid: %s" name msg)
+      invalid_arg
+        (Printf.sprintf "workload %s is invalid: %s" name (Diag.message d))
 
 let op name kind args = (name, kind, args, [])
 let gop name kind args guards = (name, kind, args, guards)

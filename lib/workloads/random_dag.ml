@@ -90,12 +90,7 @@ let generate ?(spec = default) ~seed () =
     rows := (name, kind, args, guards) :: !rows;
     add_value guards name
   done;
-  match Dfg.Graph.of_ops ~inputs:input_names (List.rev !rows) with
-  | Ok g -> Ok g
-  | Error msg ->
-      Error
-        (Diag.internal ~code:"random-dag.invalid-graph"
-           ("Random_dag.generate produced invalid graph: " ^ msg))
+  Dfg.Graph.of_ops ~inputs:input_names (List.rev !rows)
 
 let generate_exn ?spec ~seed () =
   match generate ?spec ~seed () with

@@ -17,7 +17,7 @@ val generate : ?spec:spec -> seed:int -> unit -> (Dfg.Graph.t, Diag.t) result
 (** A validated DAG; the same seed and spec always produce the same graph.
     A nonsensical spec ([ops < 1], [inputs < 1], empty kind universe) is an
     [Input] diagnostic; a generated-yet-invalid graph (a generator bug) is
-    [Internal]. *)
+    the builder's [graph.invalid]. *)
 
 val generate_exn : ?spec:spec -> seed:int -> unit -> Dfg.Graph.t
 (** {!generate}, raising [Invalid_argument] on a bad spec — for tests and

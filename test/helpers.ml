@@ -3,7 +3,7 @@
 let graph_exn rows ~inputs =
   match Dfg.Graph.of_ops ~inputs rows with
   | Ok g -> g
-  | Error msg -> Alcotest.failf "test graph invalid: %s" msg
+  | Error d -> Alcotest.failf "test graph invalid: %s" (Diag.to_string d)
 
 let op name kind args = (name, kind, args, [])
 
@@ -55,7 +55,7 @@ let example_file file =
 
 let check_ok what = function
   | Ok v -> v
-  | Error msg -> Alcotest.failf "%s failed: %s" what msg
+  | Error d -> Alcotest.failf "%s failed: %s" what (Diag.to_string d)
 
 let check_schedule s =
   match Core.Schedule.check_diags s with
@@ -68,17 +68,8 @@ let check_err what = function
   | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" what
   | Error err -> err
 
-(* Diag-returning interfaces: render the diagnostic for failure output. *)
-let check_okd what = function
-  | Ok v -> v
-  | Error d -> Alcotest.failf "%s failed: %s" what (Diag.to_string d)
-
-let check_errd what = function
-  | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" what
-  | Error (d : Diag.t) -> d
-
 let mfs_time ?config ?max_units g cs =
-  check_okd "MFS"
+  check_ok "MFS"
     (Core.Mfs.run ?config ?max_units g (Core.Mfs.Time { cs }))
 
 let fu_count s klass =

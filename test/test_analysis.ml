@@ -221,7 +221,7 @@ let mfsa_binding_audits_clean () =
   let lib = Celllib.Ncr.for_graph g in
   let config = Core.Config.of_library lib in
   let cs = (Analysis.Feasibility.analyze config g).Analysis.Feasibility.min_steps in
-  let o = Helpers.check_okd "MFSA" (Core.Mfsa.run ~config ~library:lib ~cs g) in
+  let o = Helpers.check_ok "MFSA" (Core.Mfsa.run ~config ~library:lib ~cs g) in
   let s = o.Core.Mfsa.schedule in
   let regs = o.Core.Mfsa.datapath.Rtl.Datapath.regs in
   check_no_errors "left-edge binding audit"
@@ -235,12 +235,12 @@ let rtl_pipeline g =
   let lib = Celllib.Ncr.for_graph g in
   let config = Core.Config.of_library lib in
   let cs = (Analysis.Feasibility.analyze config g).Analysis.Feasibility.min_steps in
-  let o = Helpers.check_okd "MFSA" (Core.Mfsa.run ~config ~library:lib ~cs g) in
+  let o = Helpers.check_ok "MFSA" (Core.Mfsa.run ~config ~library:lib ~cs g) in
   let dp = o.Core.Mfsa.datapath in
   let delay i =
     Core.Config.delay config (Dfg.Graph.node g i).Dfg.Graph.kind
   in
-  let ctrl = Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay) in
+  let ctrl = Rtl.Controller.make dp ~delay in
   (dp, ctrl, delay)
 
 let rtl_clean () =

@@ -129,7 +129,7 @@ let datapath_lines () =
     (finding_lines
        (Analysis.Sched_lint.lifetimes ~regs:dp.Rtl.Datapath.regs sched));
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay)
+    Rtl.Controller.make dp ~delay
   in
   Alcotest.(check (list string))
     "Rtl_lint.check"

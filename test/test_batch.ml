@@ -93,13 +93,13 @@ let record ?(attempt = 1) ?(final = true) ~id ~seed verdict =
 let journal_roundtrip_and_torn_line () =
   let path = tmp_path "torn.jsonl" in
   if Sys.file_exists path then Sys.remove path;
-  let w = Helpers.check_okd "open" (Batch.Journal.open_writer path) in
+  let w = Helpers.check_ok "open" (Batch.Journal.open_writer path) in
   let r1 = record ~id:"a" ~seed:0 (Batch.Verdict.Done "{}") in
   let r2 =
     record ~id:"b" ~seed:1 ~final:false Batch.Verdict.Timeout ~attempt:1
   in
-  Helpers.check_okd "append r1" (Batch.Journal.append w r1);
-  Helpers.check_okd "append r2" (Batch.Journal.append w r2);
+  Helpers.check_ok "append r1" (Batch.Journal.append w r1);
+  Helpers.check_ok "append r2" (Batch.Journal.append w r2);
   Batch.Journal.close w;
   (* Simulate a SIGKILL mid-append: a torn record with no newline. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -135,9 +135,9 @@ let journal_torn_tail_cut_on_open () =
   let path = tmp_path "torn-reopen.jsonl" in
   if Sys.file_exists path then Sys.remove path;
   let append rs =
-    let w = Helpers.check_okd "open" (Batch.Journal.open_writer path) in
+    let w = Helpers.check_ok "open" (Batch.Journal.open_writer path) in
     List.iter
-      (fun r -> Helpers.check_okd "append" (Batch.Journal.append w r))
+      (fun r -> Helpers.check_ok "append" (Batch.Journal.append w r))
       rs;
     Batch.Journal.close w
   in
@@ -148,7 +148,7 @@ let journal_torn_tail_cut_on_open () =
     ];
   Helpers.tear_last_line path;
   append [ record ~id:"c" ~seed:2 Batch.Verdict.Oom ];
-  let rs = Helpers.check_okd "load" (Batch.Journal.load path) in
+  let rs = Helpers.check_ok "load" (Batch.Journal.load path) in
   Alcotest.(check (list string)) "first and third records" [ "a"; "c" ]
     (List.map (fun r -> r.Batch.Journal.id) rs);
   Sys.remove path

@@ -31,7 +31,7 @@ let infeasible_budget () =
       (Dfg.Bounds.compute (Helpers.chain4 ()) ~cs:3)
   in
   Alcotest.(check bool) "mentions critical path" true
-    (Helpers.contains ~sub:"critical path" msg)
+    (Helpers.contains ~sub:"critical path" (Diag.message msg))
 
 let zero_budget () =
   ignore (Helpers.check_err "cs=0" (Dfg.Bounds.compute (Helpers.diamond ()) ~cs:0))
@@ -94,7 +94,7 @@ let op_slower_than_clock () =
     Helpers.check_err "mult slower than clock"
       (Dfg.Bounds.chained_critical_path ~prop_delay ~clock:50. g)
   in
-  Alcotest.(check bool) "names the op" true (Helpers.contains ~sub:"m" msg)
+  Alcotest.(check bool) "names the op" true (Helpers.contains ~sub:"m" (Diag.message msg))
 
 let chained_bounds_feasible () =
   let g = Workloads.Classic.chained_sum () in

@@ -48,9 +48,9 @@ let serial_design_needs_fewer_buses () =
   (* The MUX-vs-bus trade-off: a serial schedule needs few buses. *)
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
-  let fast = Helpers.check_okd "fast" (Core.Mfsa.run ~library:lib ~cs:4 g) in
+  let fast = Helpers.check_ok "fast" (Core.Mfsa.run ~library:lib ~cs:4 g) in
   let slow =
-    Helpers.check_okd "slow"
+    Helpers.check_ok "slow"
       (Core.Mfsa.run_resource ~library:lib ~limits:[ ("*", 1) ] g)
   in
   let buses o = (Rtl.Bus.allocate o.Core.Mfsa.datapath).Rtl.Bus.buses in

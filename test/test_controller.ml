@@ -13,7 +13,7 @@ let chain_dp () =
 let micro_ordering () =
   let dp = chain_dp () in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   Alcotest.(check int) "two states" 2 ctrl.Rtl.Controller.steps;
   (* Within step 1, producer c1 (node 0) must precede chained c2 (node 1). *)
@@ -26,7 +26,7 @@ let micro_ordering () =
 let input_loads () =
   let dp = chain_dp () in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   (* y is consumed in step 2, so it must be preloaded into a register. *)
   Alcotest.(check bool) "y preloaded" true
@@ -35,7 +35,7 @@ let input_loads () =
 let chained_value_has_no_dest () =
   let dp = chain_dp () in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   let micro_of n =
     List.find (fun m -> m.Rtl.Controller.m_node = n) ctrl.Rtl.Controller.micros
@@ -55,7 +55,7 @@ let multicycle_latch_step () =
            [ (alu [ Dfg.Op.Mul ], [ 0 ]); (alu [ Dfg.Op.Mul ], [ 1 ]);
              (alu [ Dfg.Op.Add ], [ 2 ]) ])
   in
-  let ctrl = Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay) in
+  let ctrl = Rtl.Controller.make dp ~delay in
   let m0 =
     List.find (fun m -> m.Rtl.Controller.m_node = 0) ctrl.Rtl.Controller.micros
   in
@@ -66,12 +66,11 @@ let guards_carried () =
   let g = Workloads.Classic.cond_example () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:unit_delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:unit_delay
   in
   let t1 = (Option.get (Dfg.Graph.find g "t1")).Dfg.Graph.id in
   let m =

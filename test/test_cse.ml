@@ -5,7 +5,7 @@ let diffeq_duplicate_removed () =
   (* HAL's diff-eq computes u*dx twice (m2 and m6). *)
   let g = Workloads.Classic.diffeq () in
   Alcotest.(check int) "one saving" 1 (Dfg.Cse.savings g);
-  let g' = Helpers.check_ok "cse" (Dfg.Cse.eliminate g) in
+  let g' = Helpers.check_ok "cse" (Dfg.Cse.run g) in
   Alcotest.(check int) "10 ops left" 10 (Dfg.Graph.num_nodes g');
   (* Consumers of the removed duplicate read the kept node. *)
   let a2 = Option.get (Dfg.Graph.find g' "a2") in
@@ -20,7 +20,7 @@ let commutative_duplicates () =
         op "z" Dfg.Op.Mul [ "x"; "y" ];
       ]
   in
-  let g' = Helpers.check_ok "cse" (Dfg.Cse.eliminate g) in
+  let g' = Helpers.check_ok "cse" (Dfg.Cse.run g) in
   Alcotest.(check int) "add merged" 2 (Dfg.Graph.num_nodes g');
   let z = Option.get (Dfg.Graph.find g' "z") in
   Alcotest.(check (list string)) "z squares x" [ "x"; "x" ] z.Dfg.Graph.args
@@ -36,7 +36,7 @@ let guard_contexts_respected () =
   (* Same computation under different guards must NOT merge (that is
      Mutex.merge_shared's job, with different semantics). *)
   let g = Workloads.Classic.cond_example () in
-  let g' = Helpers.check_ok "cse" (Dfg.Cse.eliminate g) in
+  let g' = Helpers.check_ok "cse" (Dfg.Cse.run g) in
   Alcotest.(check int) "t1/t2 survive CSE" (Dfg.Graph.num_nodes g)
     (Dfg.Graph.num_nodes g')
 
@@ -52,14 +52,14 @@ let chains_collapse () =
         op "z" Dfg.Op.Sub [ "y1"; "y2" ];
       ]
   in
-  let g' = Helpers.check_ok "cse" (Dfg.Cse.eliminate g) in
+  let g' = Helpers.check_ok "cse" (Dfg.Cse.run g) in
   Alcotest.(check int) "fixpoint collapses the chain" 3 (Dfg.Graph.num_nodes g')
 
 let semantics_preserved =
   Helpers.qcheck ~count:60 "CSE preserves every surviving value"
     (Helpers.dag_gen ())
     (fun g ->
-      match Dfg.Cse.eliminate g with
+      match Dfg.Cse.run g with
       | Error _ -> false
       | Ok g' -> (
           let env = List.mapi (fun i v -> (v, (i * 13 mod 17) - 8)) (Dfg.Graph.inputs g) in
@@ -76,14 +76,14 @@ let idempotent =
   Helpers.qcheck ~count:60 "CSE is idempotent"
     (Helpers.dag_gen ())
     (fun g ->
-      match Dfg.Cse.eliminate g with
+      match Dfg.Cse.run g with
       | Error _ -> false
       | Ok g' -> Dfg.Cse.savings g' = 0)
 
 let frontend_then_cse () =
   (* The front end does not CSE; the pass catches the duplicated u*dx. *)
   let src = "input u, dx, y;\na = u * dx + y;\nb = u * dx - y;\n" in
-  let g = Helpers.check_okd "compile" (Dfg.Frontend.compile src) in
+  let g = Helpers.check_ok "compile" (Dfg.Frontend.compile src) in
   Alcotest.(check int) "one duplicate" 1 (Dfg.Cse.savings g)
 
 let suite =

@@ -6,18 +6,18 @@ let test name f = Alcotest.test_case name `Quick f
 let data = Helpers.example_file
 
 let diffeq_beh () =
-  let g = Helpers.check_okd "compile" (Dfg.Frontend.compile_file (data "diffeq.beh")) in
+  let g = Helpers.check_ok "compile" (Dfg.Frontend.compile_file (data "diffeq.beh")) in
   Alcotest.(check int) "mults" 6
     (Option.value ~default:0 (List.assoc_opt "*" (Dfg.Graph.count_by_class g)));
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   Helpers.check_schedule o.Core.Mfsa.schedule
 
 let fir4_dfg () =
-  let g = Helpers.check_okd "parse" (Dfg.Parser.parse_file (data "fir4.dfg")) in
+  let g = Helpers.check_ok "parse" (Dfg.Parser.parse_file (data "fir4.dfg")) in
   Alcotest.(check int) "ops" 7 (Dfg.Graph.num_nodes g);
   let env =
     List.mapi (fun i v -> (v, i + 1)) (Dfg.Graph.inputs g)
@@ -27,7 +27,7 @@ let fir4_dfg () =
   Alcotest.(check (option int)) "y" (Some 70) (Sim.Eval.value v "y")
 
 let cond_beh () =
-  let g = Helpers.check_okd "compile" (Dfg.Frontend.compile_file (data "cond.beh")) in
+  let g = Helpers.check_ok "compile" (Dfg.Frontend.compile_file (data "cond.beh")) in
   let consts = Dfg.Frontend.const_env g in
   let run acc x limit =
     let env = [ ("acc", acc); ("x", x); ("limit", limit) ] @ consts in

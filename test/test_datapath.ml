@@ -44,7 +44,7 @@ let missing_node_rejected () =
       (Rtl.Datapath.elaborate g ~start:[| 1; 1; 2 |] ~delay:unit_delay ~cs:2
          ~assignments:[ (alu [ Dfg.Op.Mul ], [ 0; 1 ]) ])
   in
-  Alcotest.(check bool) "says missing" true (Helpers.contains ~sub:"missing" msg)
+  Alcotest.(check bool) "says missing" true (Helpers.contains ~sub:"missing" (Diag.message msg))
 
 let duplicate_node_rejected () =
   let g = Helpers.diamond () in
@@ -63,7 +63,7 @@ let incapable_alu_rejected () =
          ~assignments:
            [ (alu [ Dfg.Op.Add ], [ 0; 1; 2 ]) ])
   in
-  Alcotest.(check bool) "mentions the ALU" true (Helpers.contains ~sub:"mul" msg)
+  Alcotest.(check bool) "mentions the ALU" true (Helpers.contains ~sub:"mul" (Diag.message msg))
 
 let unknown_id_rejected () =
   let g = Helpers.diamond () in

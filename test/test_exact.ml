@@ -53,7 +53,7 @@ let budget_guard () =
   match Baselines.Exact.run ~node_budget:500 g ~cs with
   | Error msg ->
       Alcotest.(check bool) "budget error" true
-        (Helpers.contains ~sub:"budget" msg)
+        (Helpers.contains ~sub:"budget" (Diag.message msg))
   | Ok o ->
       (* A tiny budget may still finish if pruning is sharp; then the
          result must at least be a valid schedule. *)

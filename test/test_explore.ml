@@ -171,7 +171,7 @@ let spec_rejects () =
 (* --- Lattice ------------------------------------------------------------- *)
 
 let spec_of_text text =
-  Helpers.check_okd "spec" (Spec.parse ~file:"t" text)
+  Helpers.check_ok "spec" (Spec.parse ~file:"t" text)
 
 let expand_dedups_non_mfsa () =
   (* Style and weights only steer MFSA: for mfs the 2x2 style/weight block
@@ -226,7 +226,7 @@ let pinned_graph =
 (* Literal digests: a changed key silently cold-starts every explore and
    serve cache, so any change to them must be deliberate. *)
 let keys_pinned_off_default_axes () =
-  let graph = Helpers.check_okd "parse" (Dfg.Parser.parse pinned_graph) in
+  let graph = Helpers.check_ok "parse" (Dfg.Parser.parse pinned_graph) in
   List.iter
     (fun (axis, expected) ->
       match Lattice.expand (spec_of_text ("graph g\n" ^ axis ^ "\n")) with
@@ -247,7 +247,7 @@ let evaluate_solves_diffeq () =
   let g = Workloads.Classic.diffeq () in
   let s = spec_of_text "graph diffeq\ncs 4\n" in
   let p = List.hd (Lattice.expand s) in
-  let m = Helpers.check_okd "evaluate" (Lattice.evaluate ~graph:g p) in
+  let m = Helpers.check_ok "evaluate" (Lattice.evaluate ~graph:g p) in
   Alcotest.(check int) "csteps" 4 m.Lattice.m_csteps;
   Alcotest.(check bool) "has units" true (m.Lattice.m_units > 0);
   Alcotest.(check bool) "alu area positive" true (m.Lattice.m_alu > 0.);
@@ -258,7 +258,7 @@ let evaluate_reports_infeasible () =
   let g = Workloads.Classic.diffeq () in
   let s = spec_of_text "graph diffeq\nengine list\ncs 1\n" in
   let p = List.hd (Lattice.expand s) in
-  let d = Helpers.check_errd "evaluate" (Lattice.evaluate ~graph:g p) in
+  let d = Helpers.check_err "evaluate" (Lattice.evaluate ~graph:g p) in
   Alcotest.(check int) "infeasible exit" 4 (Diag.exit_code d)
 
 (* --- Cache --------------------------------------------------------------- *)
@@ -289,16 +289,16 @@ let entry_roundtrip () =
 let cache_store_roundtrip () =
   let path = tmp_path "cache.jsonl" in
   rm path;
-  let w = Helpers.check_okd "open" (Cache.open_writer path) in
-  Helpers.check_okd "append" (Cache.append w
+  let w = Helpers.check_ok "open" (Cache.open_writer path) in
+  Helpers.check_ok "append" (Cache.append w
     { Cache.key = "a"; descr = "p0"; outcome = Cache.Metrics sample_metrics });
-  Helpers.check_okd "append" (Cache.append w
+  Helpers.check_ok "append" (Cache.append w
     { Cache.key = "b"; descr = "p1"; outcome = Cache.Infeasible "x.y" });
   (* Duplicate key: the later entry must win on load. *)
-  Helpers.check_okd "append" (Cache.append w
+  Helpers.check_ok "append" (Cache.append w
     { Cache.key = "b"; descr = "p1-later"; outcome = Cache.Infeasible "x.z" });
   Cache.close w;
-  let t = Helpers.check_okd "load" (Cache.load path) in
+  let t = Helpers.check_ok "load" (Cache.load path) in
   Alcotest.(check int) "two keys" 2 (Cache.size t);
   (match Cache.find t "a" with
   | Some { Cache.outcome = Cache.Metrics m; _ } ->
@@ -317,7 +317,7 @@ let cache_tolerates_torn_tail () =
        { Cache.key = "a"; descr = "p0"; outcome = Cache.Infeasible "c" }
     ^ "\n{\"key\":\"b\",\"descr\":");
   close_out oc;
-  let t = Helpers.check_okd "load" (Cache.load path) in
+  let t = Helpers.check_ok "load" (Cache.load path) in
   Alcotest.(check int) "torn tail dropped" 1 (Cache.size t);
   rm path
 
@@ -327,10 +327,10 @@ let cache_torn_tail_cut_on_open () =
   let path = tmp_path "torn-reopen.jsonl" in
   rm path;
   let append keys =
-    let w = Helpers.check_okd "open" (Cache.open_writer path) in
+    let w = Helpers.check_ok "open" (Cache.open_writer path) in
     List.iter
       (fun k ->
-        Helpers.check_okd "append"
+        Helpers.check_ok "append"
           (Cache.append w
              { Cache.key = k; descr = "p"; outcome = Cache.Infeasible "c" }))
       keys;
@@ -339,7 +339,7 @@ let cache_torn_tail_cut_on_open () =
   append [ "a"; "b" ];
   Helpers.tear_last_line path;
   append [ "c" ];
-  let t = Helpers.check_okd "load" (Cache.load path) in
+  let t = Helpers.check_ok "load" (Cache.load path) in
   Alcotest.(check (list bool)) "first and third entries" [ true; false; true ]
     (List.map (fun k -> Cache.peek t k <> None) [ "a"; "b"; "c" ]);
   rm path
@@ -356,7 +356,7 @@ let cache_rejects_garbage () =
   rm path
 
 let cache_missing_is_empty () =
-  let t = Helpers.check_okd "load" (Cache.load (tmp_path "nonexistent")) in
+  let t = Helpers.check_ok "load" (Cache.load (tmp_path "nonexistent")) in
   Alcotest.(check int) "empty" 0 (Cache.size t)
 
 (* --- Cache admission control (LRU cap, pins, counters) ------------------- *)
@@ -418,12 +418,12 @@ let cache_pins_shield_in_flight_keys () =
 let cache_load_respects_cap () =
   let path = tmp_path "capped-cache.jsonl" in
   rm path;
-  let w = Helpers.check_okd "open" (Cache.open_writer path) in
+  let w = Helpers.check_ok "open" (Cache.open_writer path) in
   List.iter
-    (fun k -> Helpers.check_okd "append" (Cache.append w (mini_entry k)))
+    (fun k -> Helpers.check_ok "append" (Cache.append w (mini_entry k)))
     [ "a"; "b"; "c" ];
   Cache.close w;
-  let t = Helpers.check_okd "load" (Cache.load ~max_entries:2 path) in
+  let t = Helpers.check_ok "load" (Cache.load ~max_entries:2 path) in
   Alcotest.(check int) "only the cap survives replay" 2 (Cache.size t);
   Alcotest.(check bool) "oldest dropped" true (Cache.peek t "a" = None);
   Alcotest.(check bool) "recent kept" true
@@ -471,7 +471,7 @@ let cache_concurrent_writers_no_torn_lines () =
       | _, Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "cache writer child failed")
     pids;
-  let t = Helpers.check_okd "load survives concurrency" (Cache.load path) in
+  let t = Helpers.check_ok "load survives concurrency" (Cache.load path) in
   Alcotest.(check int) "every line intact and distinct" (2 * per_child)
     (Cache.size t);
   rm path
@@ -533,7 +533,7 @@ let tiny_sweep_then_warm_cache () =
   let cache = tmp_path "sweep-cache.jsonl" in
   rm cache;
   let spec = spec_of_text "graph diffeq\ncs 4 6\nweights 1/1/1/1 1/1/1/20\n" in
-  let o = Helpers.check_okd "run" (Engine.run ~cache ~deadline:30. spec) in
+  let o = Helpers.check_ok "run" (Engine.run ~cache ~deadline:30. spec) in
   Alcotest.(check int) "seed points" 4 o.Engine.seed_points;
   Alcotest.(check int) "cold cache" 0 o.Engine.cache_hits;
   Alcotest.(check int) "all fresh" 4 o.Engine.fresh;
@@ -541,7 +541,7 @@ let tiny_sweep_then_warm_cache () =
   Alcotest.(check (list int)) "all solved" [ 4; 0; 0 ] [ s; i; f ];
   Alcotest.(check bool) "front non-empty" true (Engine.front o <> []);
   (* Second run: every point replayed from the cache, zero evaluations. *)
-  let o2 = Helpers.check_okd "rerun" (Engine.run ~cache ~deadline:30. spec) in
+  let o2 = Helpers.check_ok "rerun" (Engine.run ~cache ~deadline:30. spec) in
   Alcotest.(check int) "warm cache hits all" 4 o2.Engine.cache_hits;
   Alcotest.(check int) "zero fresh" 0 o2.Engine.fresh;
   Alcotest.(check bool) "same front" true
@@ -558,11 +558,11 @@ let infeasible_points_are_cached () =
   rm cache;
   (* cs 2 is below diffeq's critical path: an expected infeasibility. *)
   let spec = spec_of_text "graph diffeq\nengine list\ncs 2 4\n" in
-  let o = Helpers.check_okd "run" (Engine.run ~cache ~deadline:30. spec) in
+  let o = Helpers.check_ok "run" (Engine.run ~cache ~deadline:30. spec) in
   let s, i, f = count_status o in
   Alcotest.(check (list int)) "one solved, one infeasible" [ 1; 1; 0 ]
     [ s; i; f ];
-  let o2 = Helpers.check_okd "rerun" (Engine.run ~cache ~deadline:30. spec) in
+  let o2 = Helpers.check_ok "rerun" (Engine.run ~cache ~deadline:30. spec) in
   Alcotest.(check int) "infeasible hit too" 2 o2.Engine.cache_hits;
   Alcotest.(check int) "zero fresh" 0 o2.Engine.fresh;
   rm cache
@@ -574,7 +574,7 @@ let refinement_densifies () =
     spec_of_text
       "graph diffeq\nweights 1/1/1/1 1/8/1/1 1/1/1/20\ncs 4 6\nbudget 3\n"
   in
-  let o = Helpers.check_okd "run" (Engine.run ~cache ~deadline:30. spec) in
+  let o = Helpers.check_ok "run" (Engine.run ~cache ~deadline:30. spec) in
   Alcotest.(check bool) "refined within budget" true
     (o.Engine.refined_points <= 3);
   Alcotest.(check int) "evals cover seed + refined"
@@ -591,7 +591,7 @@ let ewf_front_spans_regimes () =
       "graph ewf\ncs 17 28\nlimits *=1,+=1 *=2,+=2 *=3,+=3\n"
   in
   let o =
-    Helpers.check_okd "run" (Engine.run ~workers:2 ~deadline:60. spec)
+    Helpers.check_ok "run" (Engine.run ~workers:2 ~deadline:60. spec)
   in
   let front = Engine.front o in
   let distinct =
@@ -619,7 +619,7 @@ let ewf_front_spans_regimes () =
 
 let report_renders () =
   let spec = spec_of_text "graph diffeq\ncs 4 6\n" in
-  let o = Helpers.check_okd "run" (Engine.run ~deadline:30. spec) in
+  let o = Helpers.check_ok "run" (Engine.run ~deadline:30. spec) in
   let table = Front_report.table o in
   Alcotest.(check bool) "table has the header" true
     (Helpers.contains ~sub:"csteps" table);

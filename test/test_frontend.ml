@@ -1,6 +1,6 @@
 let test name f = Alcotest.test_case name `Quick f
 
-let compile_ok src = Helpers.check_okd "compile" (Dfg.Frontend.compile src)
+let compile_ok src = Helpers.check_ok "compile" (Dfg.Frontend.compile src)
 
 let straight_line () =
   let g = compile_ok "input x, y;\ns = x + y;\np = s * x;\n" in
@@ -93,7 +93,7 @@ let comments_and_whitespace () =
   Alcotest.(check int) "one node" 1 (Dfg.Graph.num_nodes g)
 
 let err ?line sub src =
-  let d = Helpers.check_errd src (Dfg.Frontend.compile src) in
+  let d = Helpers.check_err src (Dfg.Frontend.compile src) in
   let msg = Diag.message d in
   Alcotest.(check bool)
     (Printf.sprintf "%S in %S" sub msg)
@@ -127,12 +127,11 @@ let diffeq_in_language () =
     (List.assoc_opt "*" (Dfg.Graph.count_by_class g) <> None);
   let lib = Celllib.Ncr.for_graph g in
   let cs = Dfg.Bounds.critical_path g + 1 in
-  let o = Helpers.check_okd "mfsa" (Core.Mfsa.run ~library:lib ~cs g) in
+  let o = Helpers.check_ok "mfsa" (Core.Mfsa.run ~library:lib ~cs g) in
   Helpers.check_schedule o.Core.Mfsa.schedule;
   let delay _ = 1 in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay
   in
   let env =
     [ ("x", 2); ("y", 5); ("u", 3); ("dx", 1); ("a", 10) ]

@@ -31,10 +31,9 @@ let gray_adjacent_differ_by_one_bit () =
 let rom_of_diffeq () =
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
-  let o = Helpers.check_okd "mfsa" (Core.Mfsa.run ~library:lib ~cs:4 g) in
+  let o = Helpers.check_ok "mfsa" (Core.Mfsa.run ~library:lib ~cs:4 g) in
   let ctrl =
-    Helpers.check_ok "ctrl"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   let rows = Rtl.Fsm.rom ctrl in
   Alcotest.(check int) "one row per step" 4 (List.length rows);

@@ -25,7 +25,7 @@ let unknown_ref () =
     Helpers.check_err "unknown operand"
       (Dfg.Graph.of_ops ~inputs:[ "a" ] [ op "n" Dfg.Op.Add [ "a"; "zz" ] ])
   in
-  Alcotest.(check bool) "mentions zz" true (Helpers.contains ~sub:"zz" msg)
+  Alcotest.(check bool) "mentions zz" true (Helpers.contains ~sub:"zz" (Diag.message msg))
 
 let arity_mismatch () =
   ignore
@@ -38,7 +38,7 @@ let cycle_detected () =
       [ op "x" Dfg.Op.Add [ "a"; "y" ]; op "y" Dfg.Op.Add [ "x"; "a" ] ]
   in
   let msg = Helpers.check_err "cycle" r in
-  Alcotest.(check string) "cycle message" "cycle in DFG" msg
+  Alcotest.(check string) "cycle message" "cycle in DFG" (Diag.message msg)
 
 let self_cycle () =
   ignore
@@ -86,12 +86,13 @@ let cross_branch_read_rejected () =
   in
   let msg = Helpers.check_err "other branch" (mk [ ("c", false) ]) in
   Alcotest.(check bool) "scoping error named" true
-    (Helpers.contains ~sub:"guard scoping" msg);
+    (Helpers.contains ~sub:"guard scoping" (Diag.message msg));
   ignore (Helpers.check_err "unconditional consumer" (mk []));
   (* Same arm is fine; a more deeply guarded consumer is fine too. *)
   (match mk [ ("c", true) ] with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "same-arm read rejected: %s" e)
+  | Error e ->
+      Alcotest.failf "same-arm read rejected: %s" (Diag.to_string e))
 
 let sinks () =
   let g = Helpers.diamond () in

@@ -50,7 +50,7 @@ let colbind_fallback_is_valid () =
           Alcotest.failf "%s: fallback datapath invalid: %s" name
             (String.concat "; " (List.map Diag.to_string errs)));
       let ctrl =
-        Helpers.check_ok (name ^ " ctrl") (Rtl.Controller.generate dp ~delay)
+        Rtl.Controller.make dp ~delay
       in
       match Sim.Equiv.check_random ~runs:5 dp ctrl with
       | Ok () -> ()
@@ -127,7 +127,8 @@ let shrink_drops_irrelevant_rows () =
   Alcotest.(check int) "one row left" 1 (Harness.Fuzz.case_size small);
   match Harness.Fuzz.graph_of_case small with
   | Ok g' -> Alcotest.(check int) "still builds" 1 (Dfg.Graph.num_nodes g')
-  | Error msg -> Alcotest.failf "shrunk case no longer builds: %s" msg
+  | Error d ->
+      Alcotest.failf "shrunk case no longer builds: %s" (Diag.to_string d)
 
 let reproducer_file () =
   let g = Workloads.Classic.diffeq () in
@@ -152,7 +153,7 @@ let reproducer_file () =
   let dfg =
     String.concat "\n" (List.filter (fun l -> not (String.length l > 0 && l.[0] = '#')) lines)
   in
-  ignore (Helpers.check_okd "reproducer parses" (Dfg.Parser.parse dfg))
+  ignore (Helpers.check_ok "reproducer parses" (Dfg.Parser.parse dfg))
 
 let suite =
   [

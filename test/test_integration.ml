@@ -9,7 +9,7 @@ let full_flow ?(style = Core.Mfsa.Unrestricted) ?config ?lib g ~cs =
     match config with Some c -> c | None -> Core.Config.of_library library
   in
   let o =
-    Helpers.check_okd "mfsa" (Core.Mfsa.run ~config ~style ~library ~cs g)
+    Helpers.check_ok "mfsa" (Core.Mfsa.run ~config ~style ~library ~cs g)
   in
   Helpers.check_schedule o.Core.Mfsa.schedule;
   let delay i =
@@ -23,8 +23,7 @@ let full_flow ?(style = Core.Mfsa.Unrestricted) ?config ?lib g ~cs =
   | Ok () -> ()
   | Error errs -> Alcotest.failf "datapath: %s" (String.concat "; " (List.map Diag.to_string errs)));
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay
   in
   (match Sim.Equiv.check_random ~runs:15 o.Core.Mfsa.datapath ctrl with
   | Ok () -> ()
@@ -40,7 +39,7 @@ let from_text_source () =
      r = + p q\n\
      s = - r a\n"
   in
-  let g = Helpers.check_okd "parse" (Dfg.Parser.parse src) in
+  let g = Helpers.check_ok "parse" (Dfg.Parser.parse src) in
   let o = full_flow g ~cs:4 in
   Alcotest.(check bool) "cost positive" true (o.Core.Mfsa.cost.Rtl.Cost.total > 0.)
 
@@ -109,7 +108,7 @@ let mfs_then_simulate () =
          ~delay:(fun _ -> 1) ~cs:4 ~assignments)
   in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:(fun _ -> 1))
+    Rtl.Controller.make dp ~delay:(fun _ -> 1)
   in
   match Sim.Equiv.check_random ~runs:15 dp ctrl with
   | Ok () -> ()
@@ -120,12 +119,11 @@ let verilog_for_all_classics () =
     (fun (name, g) ->
       let lib = Celllib.Ncr.for_graph g in
       let o =
-        Helpers.check_okd "mfsa"
+        Helpers.check_ok "mfsa"
           (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g + 1) g)
       in
       let ctrl =
-        Helpers.check_ok "controller"
-          (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+        Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
       in
       let src = Rtl.Verilog.emit ~module_name:name o.Core.Mfsa.datapath ctrl in
       Alcotest.(check bool) (name ^ " verilog") true
@@ -137,7 +135,7 @@ let file_round_trip () =
   let g = Workloads.Classic.tseng () in
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Dfg.Parser.to_source g));
-  let g' = Helpers.check_okd "parse_file" (Dfg.Parser.parse_file path) in
+  let g' = Helpers.check_ok "parse_file" (Dfg.Parser.parse_file path) in
   Alcotest.(check int) "same ops" (Dfg.Graph.num_nodes g) (Dfg.Graph.num_nodes g');
   ignore (full_flow g' ~cs:5);
   Sys.remove path
@@ -158,10 +156,8 @@ let guarded_random_flow =
           Core.Schedule.check_diags o.Core.Mfsa.schedule = []
           && Rtl.Check.datapath o.Core.Mfsa.datapath ~delay = Ok ()
           &&
-          match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
-          | Error _ -> false
-          | Ok ctrl ->
-              Sim.Equiv.check_random ~runs:6 o.Core.Mfsa.datapath ctrl = Ok ()))
+          let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
+          Sim.Equiv.check_random ~runs:6 o.Core.Mfsa.datapath ctrl = Ok ()))
 
 let guarded_random_merge_flow =
   Helpers.qcheck ~count:20 "branch merging preserves guarded random DAGs"
@@ -176,11 +172,8 @@ let guarded_random_merge_flow =
           | Error _ -> false
           | Ok o -> (
               let delay _ = 1 in
-              match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
-              | Error _ -> false
-              | Ok ctrl ->
-                  Sim.Equiv.check_random ~runs:5 o.Core.Mfsa.datapath ctrl
-                  = Ok ())))
+              let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
+              Sim.Equiv.check_random ~runs:5 o.Core.Mfsa.datapath ctrl = Ok ())))
 
 let wide_kind_flow =
   Helpers.qcheck ~count:25 "wide-alphabet random DAGs synthesise and compute"
@@ -194,10 +187,8 @@ let wide_kind_flow =
           let delay _ = 1 in
           Core.Schedule.check_diags o.Core.Mfsa.schedule = []
           &&
-          match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
-          | Error _ -> false
-          | Ok ctrl ->
-              Sim.Equiv.check_random ~runs:5 o.Core.Mfsa.datapath ctrl = Ok ()))
+          let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
+          Sim.Equiv.check_random ~runs:5 o.Core.Mfsa.datapath ctrl = Ok ()))
 
 (* Deterministic stress sweep: the full flow over a seed grid, mirroring
    the exploratory sweep that originally caught the cross-branch-read bug. *)
@@ -213,11 +204,10 @@ let stress_sweep () =
     in
     let lib = Celllib.Ncr.for_graph g in
     let cs = Dfg.Bounds.critical_path g + 1 in
-    let o = Helpers.check_okd "mfsa" (Core.Mfsa.run ~library:lib ~cs g) in
+    let o = Helpers.check_ok "mfsa" (Core.Mfsa.run ~library:lib ~cs g) in
     Helpers.check_schedule o.Core.Mfsa.schedule;
     let ctrl =
-      Helpers.check_ok "ctrl"
-        (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+      Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
     in
     match Sim.Equiv.check_random ~runs:4 o.Core.Mfsa.datapath ctrl with
     | Ok () -> ()

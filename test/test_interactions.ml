@@ -42,7 +42,7 @@ let chaining_plus_resource () =
   in
   let g = Workloads.Classic.chained_sum () in
   let o =
-    Helpers.check_okd "resource+chain"
+    Helpers.check_ok "resource+chain"
       (Core.Mfs.run ~config g
          (Core.Mfs.Resource { limits = [ ("+", 1); ("-", 1) ] }))
   in
@@ -75,7 +75,7 @@ let guards_plus_multicycle () =
 let cse_then_mfs_saves_a_unit () =
   (* Removing diffeq's duplicate u*dx drops the T=6 multiplier need. *)
   let g = Workloads.Classic.diffeq () in
-  let g' = Helpers.check_ok "cse" (Dfg.Cse.eliminate g) in
+  let g' = Helpers.check_ok "cse" (Dfg.Cse.run g) in
   let before = Helpers.mfs_time g 6 in
   let after = Helpers.mfs_time g' 6 in
   Alcotest.(check bool) "CSE never hurts" true
@@ -86,7 +86,7 @@ let style2_plus_resource () =
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "style2 resource"
+    Helpers.check_ok "style2 resource"
       (Core.Mfsa.run_resource ~style:Core.Mfsa.No_self_loop ~library:lib
          ~limits:[ ("*", 2) ] g)
   in
@@ -106,7 +106,7 @@ let three_way_case () =
     \  if (c2) { r2 = a * a; } else { r3 = b * b; }\n\
      }\n"
   in
-  let g = Helpers.check_okd "compile" (Dfg.Frontend.compile src) in
+  let g = Helpers.check_ok "compile" (Dfg.Frontend.compile src) in
   let id n = (Option.get (Dfg.Graph.find g n)).Dfg.Graph.id in
   let arms = [ id "r"; id "r2_else"; id "r3_else_else" ] in
   List.iter
@@ -127,12 +127,11 @@ let three_way_case () =
   (* And the synthesised design executes the right arm. *)
   let lib = Celllib.Ncr.for_graph g in
   let m =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   let ctrl =
-    Helpers.check_ok "ctrl"
-      (Rtl.Controller.generate m.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make m.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   let consts = Dfg.Frontend.const_env g in
   List.iter

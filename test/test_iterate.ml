@@ -3,12 +3,11 @@ let test name f = Alcotest.test_case name `Quick f
 let synthesise g =
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g + 1) g)
   in
   let ctrl =
-    Helpers.check_ok "ctrl"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   (o.Core.Mfsa.datapath, ctrl)
 
@@ -38,7 +37,7 @@ let accumulator_stream () =
        ~stream ~iterations:4
    with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e)
+  | Error e -> Alcotest.fail (Diag.to_string e))
 
 let biquad_filter_stream () =
   (* Run the biquad over an impulse and check the machine against the
@@ -58,7 +57,7 @@ let biquad_filter_stream () =
     Sim.Iterate.check dp ctrl ~feedback ~consts ~init ~stream ~iterations:8
   with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
 
 let ar_filter_stream () =
   let g = Workloads.Classic.ar_filter () in
@@ -76,7 +75,7 @@ let ar_filter_stream () =
     Sim.Iterate.check dp ctrl ~feedback ~consts ~init ~stream ~iterations:6
   with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
 
 let guarded_feedback_holds_state () =
   (* When the feedback source sits on an untaken branch, the state holds. *)

@@ -133,7 +133,7 @@ let budget_too_small () =
   in
   (* Inner chain of 4 plus pre/post needs 6 > 3: the error names the path. *)
   let msg = Helpers.check_err "tight parent" (Core.Loops.schedule_nested tree) in
-  Alcotest.(check bool) "path in message" true (Helpers.contains ~sub:"top" msg)
+  Alcotest.(check bool) "path in message" true (Helpers.contains ~sub:"top" (Diag.message msg))
 
 let iteration_control () =
   let g = inner_body () in

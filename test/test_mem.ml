@@ -247,7 +247,7 @@ let collide_mem_fault_detected () =
   let lib = Celllib.Ncr.for_graph g in
   let config = Core.Config.of_library lib in
   let cs = Core.Timeframe.min_cs config g in
-  let m = Helpers.check_okd "mfs" (Core.Mfs.run ~config g (Core.Mfs.Time { cs })) in
+  let m = Helpers.check_ok "mfs" (Core.Mfs.run ~config g (Core.Mfs.Time { cs })) in
   let planted =
     match Harness.Fault.collide_mem m.Core.Mfs.schedule with
     | Some s -> s
@@ -271,8 +271,7 @@ let sim_equivalence_on_arrays () =
   let cs, o = min_feasible_cs ~ports:1 g in
   ignore cs;
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:unit_delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:unit_delay
   in
   match Sim.Equiv.check_random ~runs:10 o.Core.Mfsa.datapath ctrl with
   | Ok () -> ()
@@ -282,8 +281,7 @@ let store_then_load_through_machine () =
   let g = parse_exn ewf_like in
   let _, o = min_feasible_cs g in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:unit_delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:unit_delay
   in
   let env = [ ("u", 7); ("i0", 0); ("i1", 1) ] in
   let r =
@@ -301,7 +299,7 @@ let colbind_binds_banked_examples () =
   List.iter
     (fun file ->
       let g =
-        Helpers.check_okd "parse"
+        Helpers.check_ok "parse"
           (Dfg.Parser.parse_file (Test_data_files.data file))
       in
       let p = Harness.Problem.make g in
@@ -322,14 +320,14 @@ let colbind_binds_banked_examples () =
               Alcotest.failf "%s: %s" what
                 (String.concat "; " (List.map Diag.to_string ds)));
           let ctrl =
-            Helpers.check_ok what (Rtl.Controller.generate dp ~delay)
+            Rtl.Controller.make dp ~delay
           in
           match Sim.Equiv.check_random ~runs:5 dp ctrl with
           | Ok () -> ()
           | Error d -> Alcotest.failf "%s: %s" what (Diag.to_string d))
         [
           ( "mfs",
-            (Helpers.check_okd "mfs"
+            (Helpers.check_ok "mfs"
                (Core.Mfs.run ~config g (Core.Mfs.Time { cs })))
               .Core.Mfs.schedule );
           ( "list",
@@ -348,7 +346,7 @@ let ports_bound_under_folding () =
   List.iter
     (fun file ->
       let g =
-        Helpers.check_okd "parse"
+        Helpers.check_ok "parse"
           (Dfg.Parser.parse_file (Test_data_files.data file))
       in
       List.iter
@@ -364,8 +362,7 @@ let ports_bound_under_folding () =
           | Ok o ->
               let dp = o.Core.Mfsa.datapath in
               let ctrl =
-                Helpers.check_ok "controller"
-                  (Rtl.Controller.generate dp ~delay)
+                Rtl.Controller.make dp ~delay
               in
               let fs =
                 Analysis.Runner.post_schedule o.Core.Mfsa.schedule
@@ -410,7 +407,7 @@ let exclusive_accesses_share_a_port () =
   in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~config:(Core.Config.of_library lib) ~library:lib ~cs:2 g)
   in
   Alcotest.(check (list (pair string int)))
@@ -428,7 +425,7 @@ let exclusive_accesses_share_a_port () =
   Alcotest.(check int) "priced as a 1-port RAM" 1
     o.Core.Mfsa.cost.Rtl.Cost.n_mem_ports;
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   Alcotest.(check (list string)) "RTL audit clean" []
     (codes (Analysis.Runner.post_rtl dp ctrl ~delay:unit_delay));
@@ -446,7 +443,7 @@ let exclusive_accesses_share_a_port () =
 
 let explore_ports_axis () =
   let s =
-    Helpers.check_okd "spec"
+    Helpers.check_ok "spec"
       (Explore.Spec.parse ~file:"t" "graph g\nports 1 2\n")
   in
   let points = Explore.Lattice.expand s in

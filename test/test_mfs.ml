@@ -65,17 +65,17 @@ let fu_counts_decrease_with_budget () =
 let infeasible_budget () =
   let g = Helpers.chain4 () in
   ignore
-    (Helpers.check_errd "cs below critical path"
+    (Helpers.check_err "cs below critical path"
        (Core.Mfs.run g (Core.Mfs.Time { cs = 3 })))
 
 let empty_graph () =
   let g = Helpers.graph_exn ~inputs:[ "a" ] [] in
-  ignore (Helpers.check_errd "empty" (Core.Mfs.run g (Core.Mfs.Time { cs = 1 })))
+  ignore (Helpers.check_err "empty" (Core.Mfs.run g (Core.Mfs.Time { cs = 1 })))
 
 let user_limit_respected () =
   let g = Workloads.Classic.diffeq () in
   let o =
-    Helpers.check_okd "limited run"
+    Helpers.check_ok "limited run"
       (Core.Mfs.run ~max_units:[ ("*", 2) ] g (Core.Mfs.Time { cs = 4 }))
   in
   Alcotest.(check bool) "within limit" true
@@ -85,7 +85,7 @@ let user_limit_too_tight () =
   let g = Workloads.Classic.diffeq () in
   let msg =
     Diag.message
-      (Helpers.check_errd "one multiplier at cp"
+      (Helpers.check_err "one multiplier at cp"
          (Core.Mfs.run ~max_units:[ ("*", 1) ] g (Core.Mfs.Time { cs = 4 })))
   in
   Alcotest.(check bool) "names the class" true (Helpers.contains ~sub:"*" msg)
@@ -94,7 +94,7 @@ let resource_constrained_makespan () =
   let g = Workloads.Classic.diffeq () in
   let limits = [ ("*", 2); ("+", 1); ("-", 1); ("<", 1) ] in
   let o =
-    Helpers.check_okd "resource run" (Core.Mfs.run g (Core.Mfs.Resource { limits }))
+    Helpers.check_ok "resource run" (Core.Mfs.run g (Core.Mfs.Resource { limits }))
   in
   Helpers.check_schedule o.Core.Mfs.schedule;
   Alcotest.(check int) "critical-path makespan with 2 mults" 4
@@ -109,7 +109,7 @@ let resource_constrained_single_units () =
   let g = Workloads.Classic.diffeq () in
   let limits = [ ("*", 1); ("+", 1); ("-", 1); ("<", 1) ] in
   let o =
-    Helpers.check_okd "resource run" (Core.Mfs.run g (Core.Mfs.Resource { limits }))
+    Helpers.check_ok "resource run" (Core.Mfs.run g (Core.Mfs.Resource { limits }))
   in
   Helpers.check_schedule o.Core.Mfs.schedule;
   (* 6 serialized multiplications plus the dependent subtract tail. *)
@@ -221,7 +221,7 @@ let brute_force_min_units g ~cs =
   let b =
     match Dfg.Bounds.compute g ~cs with
     | Ok b -> b
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Diag.to_string e)
   in
   let n = Dfg.Graph.num_nodes g in
   let order = Dfg.Graph.topological g in

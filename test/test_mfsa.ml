@@ -5,7 +5,7 @@ let run ?config ?style ?weights ?lib g cs =
   let config =
     match config with Some c -> c | None -> Core.Config.of_library library
   in
-  Helpers.check_okd "MFSA" (Core.Mfsa.run ~config ?style ?weights ~library ~cs g)
+  Helpers.check_ok "MFSA" (Core.Mfsa.run ~config ?style ?weights ~library ~cs g)
 
 let validate o =
   Helpers.check_schedule o.Core.Mfsa.schedule;
@@ -109,7 +109,7 @@ let restricted_library_missing_kind () =
   in
   let msg =
     Diag.message
-      (Helpers.check_errd "no multiplier in library"
+      (Helpers.check_err "no multiplier in library"
          (Core.Mfsa.run ~library:lib ~cs:4 g))
   in
   Alcotest.(check bool) "names the op kind" true (Helpers.contains ~sub:"mul" msg)
@@ -137,12 +137,12 @@ let restricted_library_shapes_alus () =
 let infeasible_budget () =
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
-  ignore (Helpers.check_errd "cs=2" (Core.Mfsa.run ~library:lib ~cs:2 g))
+  ignore (Helpers.check_err "cs=2" (Core.Mfsa.run ~library:lib ~cs:2 g))
 
 let empty_graph () =
   let g = Helpers.graph_exn ~inputs:[ "a" ] [] in
   let lib = Celllib.Ncr.default in
-  ignore (Helpers.check_errd "empty" (Core.Mfsa.run ~library:lib ~cs:1 g))
+  ignore (Helpers.check_err "empty" (Core.Mfsa.run ~library:lib ~cs:1 g))
 
 let two_cycle_multiplier () =
   let g = Workloads.Classic.dct8 () in
@@ -188,8 +188,7 @@ let equivalence_on_classics () =
           (Dfg.Graph.node g i).Dfg.Graph.kind
       in
       let ctrl =
-        Helpers.check_ok "controller"
-          (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay)
+        Rtl.Controller.make o.Core.Mfsa.datapath ~delay
       in
       match Sim.Equiv.check_random ~runs:10 o.Core.Mfsa.datapath ctrl with
       | Ok () -> ()
@@ -206,7 +205,7 @@ let functional_pipelining_allocation () =
   in
   let cs = Dfg.Bounds.critical_path g in
   let o =
-    Helpers.check_okd "folded mfsa" (Core.Mfsa.run ~config ~library:lib ~cs g)
+    Helpers.check_ok "folded mfsa" (Core.Mfsa.run ~config ~library:lib ~cs g)
   in
   Helpers.check_schedule o.Core.Mfsa.schedule;
   (* 13 multiplications folded into 5 slots need >= 3 mult-capable ALUs. *)
@@ -223,7 +222,7 @@ let resource_mode_minimises_steps () =
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
   let one_mult =
-    Helpers.check_okd "1 mult"
+    Helpers.check_ok "1 mult"
       (Core.Mfsa.run_resource ~library:lib ~limits:[ ("*", 1) ] g)
   in
   validate one_mult;
@@ -231,7 +230,7 @@ let resource_mode_minimises_steps () =
   Alcotest.(check int) "makespan 7" 7
     (Core.Schedule.makespan one_mult.Core.Mfsa.schedule);
   let two_mult =
-    Helpers.check_okd "2 mult"
+    Helpers.check_ok "2 mult"
       (Core.Mfsa.run_resource ~library:lib ~limits:[ ("*", 2) ] g)
   in
   Alcotest.(check int) "makespan 4" 4
@@ -242,7 +241,7 @@ let resource_mode_respects_caps () =
   let lib = Celllib.Ncr.for_graph g in
   let limits = [ ("*", 1); ("+", 2) ] in
   let o =
-    Helpers.check_okd "resource" (Core.Mfsa.run_resource ~library:lib ~limits g)
+    Helpers.check_ok "resource" (Core.Mfsa.run_resource ~library:lib ~limits g)
   in
   validate o;
   List.iter
@@ -264,7 +263,7 @@ let resource_mode_cheaper_than_time_mode () =
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
   let slow =
-    Helpers.check_okd "1 mult"
+    Helpers.check_ok "1 mult"
       (Core.Mfsa.run_resource ~library:lib ~limits:[ ("*", 1) ] g)
   in
   let fast = run g 4 in
@@ -303,10 +302,23 @@ let random_dags_equivalent =
             Core.Config.delay o.Core.Mfsa.schedule.Core.Schedule.config
               (Dfg.Graph.node g i).Dfg.Graph.kind
           in
-          match Rtl.Controller.generate o.Core.Mfsa.datapath ~delay with
-          | Error _ -> false
-          | Ok ctrl ->
-              Sim.Equiv.check_random ~runs:5 o.Core.Mfsa.datapath ctrl = Ok ()))
+          let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
+          Sim.Equiv.check_random ~runs:5 o.Core.Mfsa.datapath ctrl = Ok ()))
+
+(* Style 2 can deadlock where style 1 binds: under these caps diffeq binds
+   in style 1, but no style-2 placement exists at any budget up to the
+   serial horizon. That is the style's infeasibility, not the horizon's. *)
+let resource_style2_deadlock_named () =
+  let g = Workloads.Classic.diffeq () in
+  let library = Celllib.Ncr.for_graph g in
+  let limits = [ ("*", 2); ("-", 1); ("+", 1); ("<", 1) ] in
+  let run style = Core.Mfsa.run_resource ~style ~library ~limits g in
+  let o = Helpers.check_ok "style 1" (run Core.Mfsa.Unrestricted) in
+  Alcotest.(check int) "style 1 binds at cs 5" 5
+    o.Core.Mfsa.schedule.Core.Schedule.cs;
+  let d = Helpers.check_err "style 2" (run Core.Mfsa.No_self_loop) in
+  Alcotest.(check string) "code" "mfsa.style2-deadlock" d.Diag.code;
+  Alcotest.(check int) "infeasible" 4 (Diag.exit_code d)
 
 let suite =
   [
@@ -327,6 +339,7 @@ let suite =
     test "resource mode minimises steps" resource_mode_minimises_steps;
     test "resource mode respects capability caps" resource_mode_respects_caps;
     test "resource mode trades time for area" resource_mode_cheaper_than_time_mode;
+    test "resource mode names a style-2 deadlock" resource_style2_deadlock_named;
     test "synthesised classics compute the behaviour" equivalence_on_classics;
     random_dags_synthesise;
     random_dags_equivalent;

@@ -8,7 +8,14 @@
    energy terms must leave every digest unchanged. No design here uses
    functional pipelining: that is where the sharing rule across overlapped
    iterations moves decisions on purpose (see [Test_sharing]). On a
-   mismatch the failure prints the whole table, ready to paste. *)
+   mismatch the failure prints the whole table, ready to paste.
+
+   Eight random-DAG literals (dag5, dag7, dag8, dag13, dag21, dag26, dag27
+   and dag29) changed once, on purpose: their style-2 resource-constrained
+   runs pass the serial horizon while style 1 binds under the same caps,
+   and that failure is now reported as [mfsa.style2-deadlock] instead of
+   [mfsa.horizon]. Only the digested error text changed; every decision
+   stayed. *)
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -118,7 +125,7 @@ let table2 () =
 
 let example_files () =
   let load read name =
-    (name, Helpers.check_okd name (read (Helpers.example_file name)))
+    (name, Helpers.check_ok name (read (Helpers.example_file name)))
   in
   let dfg = load Dfg.Parser.parse_file
   and beh = load Dfg.Frontend.compile_file in
@@ -158,15 +165,15 @@ let random_dags () =
       ("dag2", "d1f93f990671dbd39e9fafbf6d44449f");
       ("dag3", "f2adff81f84fe8cdab280a246a9b0ecc");
       ("dag4", "47473c80741e06bd1906567e8b663420");
-      ("dag5", "4bbb42289b74e2018387d73a12350ec9");
+      ("dag5", "6eba23ee2aad696d2a6571874d7e2ba2");
       ("dag6", "a6a5050319e262f52e47e4bce555f11c");
-      ("dag7", "93b4196c48687189c70b782ddc3787b9");
-      ("dag8", "ab38c19ba85c0a45f1cb7f0d93c5d81c");
+      ("dag7", "cc565721158c79cc6a431e3d5e92330d");
+      ("dag8", "824a14ac58d117063c5a5a17aca0906b");
       ("dag9", "193453b753fd1cd530ea4190ed6b0d38");
       ("dag10", "9ddb776026d3adbad6b8a9732ca9ac06");
       ("dag11", "cfaa9f5a302e001f9c07f4ccbe6c6c2b");
       ("dag12", "6d4c337866ddf57123999d4e02ee85c9");
-      ("dag13", "8a1481134d6a35fa2915c597b5edc250");
+      ("dag13", "ba679e4c9bc7e449d54ba77be784270c");
       ("dag14", "748fd2539c28128b15ec13a138a4c086");
       ("dag15", "eb15e15f6fe107ab384a933262830c77");
       ("dag16", "73eee27dcc33b084e94051603fd75e2d");
@@ -174,15 +181,15 @@ let random_dags () =
       ("dag18", "8592059341611dcefa2ae803bb969e9e");
       ("dag19", "f634a1a51f90ae6a6304621b1e8f5cc1");
       ("dag20", "fc5303e5353d5fb0b7961826e66337f2");
-      ("dag21", "80ec27287216bcf0941a9acafbdf7834");
+      ("dag21", "ab7f0050328852ac6311ba2c15bd2101");
       ("dag22", "f833fb7ae34c9065a82341d9a2f1f533");
       ("dag23", "23717eae3efaca362110d4ef7a57c202");
       ("dag24", "45bab32b7bb0ef03bea36f5f59009673");
       ("dag25", "3cb82fea037d3912d3c8d7e04be53c97");
-      ("dag26", "402a8381947d15d5f2aa836d0c16c7b8");
-      ("dag27", "664f3934303433de7cfe8ed2c54bea79");
+      ("dag26", "413a5b1993279e774804440d67b6b6c2");
+      ("dag27", "099ba9717915e3f821f5e0db60974b2c");
       ("dag28", "177d47344aa94f86907445d7446f1982");
-      ("dag29", "6ce99c5b67f1b6064e369c507b6be44b");
+      ("dag29", "bf5ff3648acd8780f1087ef074add083");
     ]
 
 let suite =

@@ -2,20 +2,20 @@ let test name f = Alcotest.test_case name `Quick f
 
 let parse_minimal () =
   let g =
-    Helpers.check_okd "parse"
+    Helpers.check_ok "parse"
       (Dfg.Parser.parse "input a b\nn1 = add a b\nn2 = mul n1 a\n")
   in
   Alcotest.(check int) "two nodes" 2 (Dfg.Graph.num_nodes g)
 
 let parse_symbols_and_comments () =
   let src = "# a comment\ninput a b   # trailing\nn1 = + a b\nn2 = * n1 a\n" in
-  let g = Helpers.check_okd "parse" (Dfg.Parser.parse src) in
+  let g = Helpers.check_ok "parse" (Dfg.Parser.parse src) in
   Alcotest.(check string) "n1 kind" "add"
     (Dfg.Op.to_string (Option.get (Dfg.Graph.find g "n1")).Dfg.Graph.kind)
 
 let parse_guards () =
   let src = "input a b\nc = lt a b\nt = add a b @ c\nu = sub a b @ !c\n" in
-  let g = Helpers.check_okd "parse" (Dfg.Parser.parse src) in
+  let g = Helpers.check_ok "parse" (Dfg.Parser.parse src) in
   let t = Option.get (Dfg.Graph.find g "t") in
   let u = Option.get (Dfg.Graph.find g "u") in
   Alcotest.(check (list (pair string bool))) "t guard" [ ("c", true) ]
@@ -25,13 +25,13 @@ let parse_guards () =
 
 let parse_blank_lines () =
   let g =
-    Helpers.check_okd "parse" (Dfg.Parser.parse "\n\ninput a\n\nn = neg a\n\n")
+    Helpers.check_ok "parse" (Dfg.Parser.parse "\n\ninput a\n\nn = neg a\n\n")
   in
   Alcotest.(check int) "one node" 1 (Dfg.Graph.num_nodes g)
 
 let error_has_line_number () =
   let d =
-    Helpers.check_errd "bad op" (Dfg.Parser.parse "input a\nn = frobnicate a\n")
+    Helpers.check_err "bad op" (Dfg.Parser.parse "input a\nn = frobnicate a\n")
   in
   let span = Option.get d.Diag.span in
   Alcotest.(check int) "line 2 reported" 2 span.Diag.line;
@@ -39,18 +39,18 @@ let error_has_line_number () =
   Alcotest.(check string) "code" "parse.unknown-op" d.Diag.code
 
 let error_bad_shape () =
-  let d = Helpers.check_errd "garbage" (Dfg.Parser.parse "hello world\n") in
+  let d = Helpers.check_err "garbage" (Dfg.Parser.parse "hello world\n") in
   let span = Option.get d.Diag.span in
   Alcotest.(check int) "line 1 reported" 1 span.Diag.line
 
 let error_empty_input_decl () =
-  ignore (Helpers.check_errd "bare input" (Dfg.Parser.parse "input\n"))
+  ignore (Helpers.check_err "bare input" (Dfg.Parser.parse "input\n"))
 
 let crlf_accepted () =
   (* Regression: CRLF sources used to leave a trailing [\r] on the last
      operand, producing a bogus "unknown operand" error. *)
   let g =
-    Helpers.check_okd "crlf"
+    Helpers.check_ok "crlf"
       (Dfg.Parser.parse "input a b\r\nn1 = add a b\r\nn2 = mul n1 a\r\n")
   in
   Alcotest.(check int) "two nodes" 2 (Dfg.Graph.num_nodes g);
@@ -60,10 +60,10 @@ let crlf_accepted () =
 let error_semantic () =
   (* Syntax fine, graph invalid: builder error surfaces. *)
   ignore
-    (Helpers.check_errd "unknown operand" (Dfg.Parser.parse "input a\nn = add a zz\n"))
+    (Helpers.check_err "unknown operand" (Dfg.Parser.parse "input a\nn = add a zz\n"))
 
 let missing_file () =
-  ignore (Helpers.check_errd "ENOENT" (Dfg.Parser.parse_file "/nonexistent/x.dfg"))
+  ignore (Helpers.check_err "ENOENT" (Dfg.Parser.parse_file "/nonexistent/x.dfg"))
 
 let equal_graph a b =
   Dfg.Graph.num_nodes a = Dfg.Graph.num_nodes b
@@ -80,7 +80,7 @@ let roundtrip_classics () =
   List.iter
     (fun (name, g) ->
       let g' =
-        Helpers.check_okd (name ^ " reparse")
+        Helpers.check_ok (name ^ " reparse")
           (Dfg.Parser.parse (Dfg.Parser.to_source g))
       in
       Alcotest.(check bool) (name ^ " roundtrips") true (equal_graph g g'))

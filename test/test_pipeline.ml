@@ -2,7 +2,7 @@ let test name f = Alcotest.test_case name `Quick f
 
 let double_structure () =
   let g = Helpers.diamond () in
-  let g2 = Helpers.check_okd "double" (Core.Pipeline.double g) in
+  let g2 = Helpers.check_ok "double" (Core.Pipeline.double g) in
   Alcotest.(check int) "twice the nodes" (2 * Dfg.Graph.num_nodes g)
     (Dfg.Graph.num_nodes g2);
   Alcotest.(check int) "twice the inputs"
@@ -20,7 +20,7 @@ let double_structure () =
 let double_custom_suffixes () =
   let g = Helpers.diamond () in
   let g2 =
-    Helpers.check_okd "double" (Core.Pipeline.double ~suffixes:("_a", "_b") g)
+    Helpers.check_ok "double" (Core.Pipeline.double ~suffixes:("_a", "_b") g)
   in
   Alcotest.(check bool) "custom suffix" true (Dfg.Graph.find g2 "m1_a" <> None)
 
@@ -103,12 +103,12 @@ let folding_conflicts_enforced () =
 
 let replicate_structure () =
   let g = Helpers.diamond () in
-  let g3 = Helpers.check_okd "replicate" (Core.Pipeline.replicate ~copies:3 g) in
+  let g3 = Helpers.check_ok "replicate" (Core.Pipeline.replicate ~copies:3 g) in
   Alcotest.(check int) "triple nodes" (3 * Dfg.Graph.num_nodes g)
     (Dfg.Graph.num_nodes g3);
   Alcotest.(check bool) "third instance present" true
     (Dfg.Graph.find g3 "s_i3" <> None);
-  let d = Helpers.check_errd "copies >= 1" (Core.Pipeline.replicate ~copies:0 g) in
+  let d = Helpers.check_err "copies >= 1" (Core.Pipeline.replicate ~copies:0 g) in
   Alcotest.(check string) "diag code" "pipeline.bad-copies" d.Diag.code
 
 let unfold_certifies_folding () =
@@ -121,7 +121,7 @@ let unfold_certifies_folding () =
   let cs = Dfg.Bounds.critical_path g in
   let o = Helpers.mfs_time ~config g cs in
   let unfolded =
-    Helpers.check_okd "unfold"
+    Helpers.check_ok "unfold"
       (Core.Pipeline.unfold o.Core.Mfs.schedule ~latency:4 ())
   in
   Helpers.check_schedule unfolded;
@@ -146,7 +146,7 @@ let unfold_every_classic () =
       let cs = Dfg.Bounds.critical_path g in
       let o = Helpers.mfs_time ~config g cs in
       let unfolded =
-        Helpers.check_okd (name ^ " unfold")
+        Helpers.check_ok (name ^ " unfold")
           (Core.Pipeline.unfold o.Core.Mfs.schedule ~latency ())
       in
       Helpers.check_schedule unfolded)
@@ -158,7 +158,7 @@ let unfold_needs_columns () =
     Core.Schedule.make ~config:Core.Config.default ~cs:2 g [| 1; 1; 2 |]
   in
   ignore
-    (Helpers.check_errd "no columns" (Core.Pipeline.unfold s ~latency:2 ()))
+    (Helpers.check_err "no columns" (Core.Pipeline.unfold s ~latency:2 ()))
 
 let suite =
   [

@@ -184,7 +184,7 @@ let analyze_sound_on_random_dags =
       let g = parse_exn src in
       let t = R.analyze g in
       match Sim.Eval.run g env with
-      | Error msg -> Alcotest.failf "concrete eval failed: %s" msg
+      | Error d -> Alcotest.failf "concrete eval failed: %s" (Diag.to_string d)
       | Ok values ->
           List.for_all (fun (name, v) -> R.contains (R.fact_of t name) v) values)
 

@@ -68,7 +68,7 @@ let table2_style_band () =
     (fun (name, g) ->
       let cs = Dfg.Bounds.critical_path g + 1 in
       let lib = Celllib.Ncr.for_graph g in
-      let run style = Helpers.check_okd "mfsa" (Core.Mfsa.run ~style ~library:lib ~cs g) in
+      let run style = Helpers.check_ok "mfsa" (Core.Mfsa.run ~style ~library:lib ~cs g) in
       let c1 = (run Core.Mfsa.Unrestricted).Core.Mfsa.cost.Rtl.Cost.total in
       let c2 = (run Core.Mfsa.No_self_loop).Core.Mfsa.cost.Rtl.Cost.total in
       let overhead = (c2 -. c1) /. c1 in
@@ -91,7 +91,7 @@ let speed_ordering () =
   let t_mfs =
     time (fun () ->
         for _ = 1 to 5 do
-          ignore (Helpers.check_okd "mfs" (Core.Mfs.schedule g (Core.Mfs.Time { cs = 18 })))
+          ignore (Helpers.check_ok "mfs" (Core.Mfs.schedule g (Core.Mfs.Time { cs = 18 })))
         done)
   in
   let t_fds =
@@ -108,7 +108,7 @@ let mfsa_cost_calibration () =
      magnitude (tens of thousands of um2), not off by an order. *)
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
-  let o = Helpers.check_okd "mfsa" (Core.Mfsa.run ~library:lib ~cs:4 g) in
+  let o = Helpers.check_ok "mfsa" (Core.Mfsa.run ~library:lib ~cs:4 g) in
   let total = o.Core.Mfsa.cost.Rtl.Cost.total in
   Alcotest.(check bool)
     (Printf.sprintf "diffeq cost %.0f in [20k, 90k]" total)

@@ -92,7 +92,7 @@ let expected_cone og (base : Core.Mfs.outcome) g deltas ~cs =
   let bounds =
     match Core.Timeframe.bounds Core.Config.default g ~cs with
     | Ok b -> b
-    | Error e -> Alcotest.failf "bounds: %s" e
+    | Error e -> Alcotest.failf "bounds: %s" (Diag.to_string e)
   in
   let ostart = base.Core.Mfs.schedule.Core.Schedule.start in
   let in_cone = Array.make n false in
@@ -260,11 +260,11 @@ let identity_delta () =
   let spec =
     { Workloads.Random_dag.default with Workloads.Random_dag.ops = 30 }
   in
-  let g = Helpers.check_okd "dag" (Workloads.Random_dag.generate ~spec ~seed:5 ()) in
+  let g = Helpers.check_ok "dag" (Workloads.Random_dag.generate ~spec ~seed:5 ()) in
   let cs = Dfg.Bounds.critical_path g + 2 in
-  let base = Helpers.check_okd "run" (Core.Mfs.run g (Core.Mfs.Time { cs })) in
+  let base = Helpers.check_ok "run" (Core.Mfs.run g (Core.Mfs.Time { cs })) in
   let o, stats =
-    Helpers.check_okd "reschedule"
+    Helpers.check_ok "reschedule"
       (Core.Mfs.reschedule ~old:base g [] (Core.Mfs.Time { cs }))
   in
   Alcotest.(check bool) "no fallback" false stats.Core.Mfs.fell_back;
@@ -285,12 +285,12 @@ let identity_delta () =
 let resource_falls_back () =
   let g = Helpers.diamond () in
   let cs = Dfg.Bounds.critical_path g + 1 in
-  let base = Helpers.check_okd "run" (Core.Mfs.run g (Core.Mfs.Time { cs })) in
+  let base = Helpers.check_ok "run" (Core.Mfs.run g (Core.Mfs.Time { cs })) in
   let spec = Core.Mfs.Resource { limits = [ ("*", 1) ] } in
   let o, stats =
-    Helpers.check_okd "reschedule" (Core.Mfs.reschedule ~old:base g [] spec)
+    Helpers.check_ok "reschedule" (Core.Mfs.reschedule ~old:base g [] spec)
   in
-  let full = Helpers.check_okd "full" (Core.Mfs.run g spec) in
+  let full = Helpers.check_ok "full" (Core.Mfs.run g spec) in
   Alcotest.(check bool) "fell back" true stats.Core.Mfs.fell_back;
   Alcotest.(check (array int)) "same starts as the full run"
     full.Core.Mfs.schedule.Core.Schedule.start
@@ -304,9 +304,9 @@ let sensitivity_rides_incremental () =
   let spec =
     { Workloads.Random_dag.default with Workloads.Random_dag.ops = 40 }
   in
-  let g = Helpers.check_okd "dag" (Workloads.Random_dag.generate ~spec ~seed:7 ()) in
+  let g = Helpers.check_ok "dag" (Workloads.Random_dag.generate ~spec ~seed:7 ()) in
   let cs = Dfg.Bounds.critical_path g + 2 in
-  let base = Helpers.check_okd "run" (Core.Mfs.run g (Core.Mfs.Time { cs })) in
+  let base = Helpers.check_ok "run" (Core.Mfs.run g (Core.Mfs.Time { cs })) in
   let impacts = Explore.Refine.sensitivity ~graph:g ~base ~cs () in
   Alcotest.(check int) "one probe per sink"
     (List.length (Dfg.Graph.sinks g))

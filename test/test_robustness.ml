@@ -7,7 +7,7 @@ let resource_mfs_partial_limits () =
      scheduler may provision freely for them. *)
   let g = Workloads.Classic.diffeq () in
   let o =
-    Helpers.check_okd "partial limits"
+    Helpers.check_ok "partial limits"
       (Core.Mfs.run g (Core.Mfs.Resource { limits = [ ("*", 2) ] }))
   in
   Helpers.check_schedule o.Core.Mfs.schedule;
@@ -21,7 +21,7 @@ let single_op_graph () =
   let o = Helpers.mfs_time g 1 in
   Alcotest.(check int) "one step" 1 (Core.Schedule.makespan o.Core.Mfs.schedule);
   let lib = Celllib.Ncr.for_graph g in
-  let m = Helpers.check_okd "mfsa" (Core.Mfsa.run ~library:lib ~cs:1 g) in
+  let m = Helpers.check_ok "mfsa" (Core.Mfsa.run ~library:lib ~cs:1 g) in
   Alcotest.(check int) "one ALU" 1 m.Core.Mfsa.cost.Rtl.Cost.n_alus;
   Alcotest.(check int) "no muxes" 0 m.Core.Mfsa.cost.Rtl.Cost.n_mux
 
@@ -52,7 +52,7 @@ let deep_nested_frontend () =
      c2 = a > b;\n\
      if (c1) { x = a + b; if (c2) { y = x * a; } else { y2 = x * b; } }\n"
   in
-  let g = Helpers.check_okd "compile" (Dfg.Frontend.compile src) in
+  let g = Helpers.check_ok "compile" (Dfg.Frontend.compile src) in
   let y = Option.get (Dfg.Graph.find g "y") in
   Alcotest.(check (list (pair string bool)))
     "nested guards in order"
@@ -73,7 +73,7 @@ let frontend_cross_branch_rejected () =
      if (c) { x = a + b; } else { z = x - b; }\n"
   in
   let msg =
-    Diag.message (Helpers.check_errd "cross read" (Dfg.Frontend.compile src))
+    Diag.message (Helpers.check_err "cross read" (Dfg.Frontend.compile src))
   in
   Alcotest.(check bool) "scoping reported" true
     (Helpers.contains ~sub:"guard scoping" msg
@@ -103,7 +103,7 @@ let mutex_merge_then_synthesise () =
   in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   Helpers.check_schedule o.Core.Mfsa.schedule
@@ -112,12 +112,11 @@ let verilog_of_guarded_design () =
   let g = Workloads.Classic.cond_example () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   let ctrl =
-    Helpers.check_ok "ctrl"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   let v = Rtl.Verilog.emit o.Core.Mfsa.datapath ctrl in
   (* Negative-arm guards appear inverted. *)
@@ -150,11 +149,10 @@ let chained_sum_equivalence_under_chaining () =
   in
   let cs = Core.Timeframe.min_cs config g in
   Alcotest.(check int) "chained depth" 3 cs;
-  let o = Helpers.check_okd "mfsa" (Core.Mfsa.run ~config ~library:lib ~cs g) in
+  let o = Helpers.check_ok "mfsa" (Core.Mfsa.run ~config ~library:lib ~cs g) in
   Helpers.check_schedule o.Core.Mfsa.schedule;
   let ctrl =
-    Helpers.check_ok "ctrl"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   match Sim.Equiv.check_random ~runs:20 o.Core.Mfsa.datapath ctrl with
   | Ok () -> ()

@@ -157,7 +157,7 @@ let fu_counts_mutex_share () =
 let check_diag_reports () =
   let g = Helpers.diamond () in
   let s = mk g ~cs:2 [ 1; 2; 2 ] ~col:[| 1; 1; 1 |] in
-  let d = Helpers.check_errd "check_diag" (Core.Schedule.check_diag s) in
+  let d = Helpers.check_err "check_diag" (Core.Schedule.check_diag s) in
   Alcotest.(check string) "code" "schedule.invalid" d.Diag.code;
   Alcotest.(check bool) "internal" true (Diag.is_bug d)
 

@@ -20,7 +20,7 @@ let frame_roundtrip_any_split () =
   let wire = String.concat "" (List.map Frame.encode payloads) in
   (* Whole stream in one feed. *)
   let d = Frame.decoder () in
-  let got = Helpers.check_okd "feed all" (Frame.feed d wire) in
+  let got = Helpers.check_ok "feed all" (Frame.feed d wire) in
   Alcotest.(check (list string)) "one feed" payloads got;
   Alcotest.(check bool) "nothing pending" false (Frame.has_partial d);
   (* Byte-by-byte: framing must not care how the bytes are chunked. *)
@@ -30,7 +30,7 @@ let frame_roundtrip_any_split () =
     (fun c ->
       got :=
         !got
-        @ Helpers.check_okd "feed byte" (Frame.feed d (String.make 1 c)))
+        @ Helpers.check_ok "feed byte" (Frame.feed d (String.make 1 c)))
     wire;
   Alcotest.(check (list string)) "byte by byte" payloads !got
 
@@ -39,10 +39,10 @@ let frame_partial_is_visible () =
   let wire = Frame.encode "{\"op\":\"ping\"}" in
   let cut = String.length wire - 3 in
   ignore
-    (Helpers.check_okd "feed prefix" (Frame.feed d (String.sub wire 0 cut)));
+    (Helpers.check_ok "feed prefix" (Frame.feed d (String.sub wire 0 cut)));
   Alcotest.(check bool) "mid-frame" true (Frame.has_partial d);
   let got =
-    Helpers.check_okd "feed rest"
+    Helpers.check_ok "feed rest"
       (Frame.feed d (String.sub wire cut (String.length wire - cut)))
   in
   Alcotest.(check (list string)) "completes" [ "{\"op\":\"ping\"}" ] got;
@@ -54,14 +54,14 @@ let frame_oversize_refused_from_header () =
   let header = Bytes.create Frame.header_bytes in
   Bytes.set_int32_be header 0 65l;
   let e =
-    Helpers.check_errd "oversize" (Frame.feed d (Bytes.to_string header))
+    Helpers.check_err "oversize" (Frame.feed d (Bytes.to_string header))
   in
   Alcotest.(check string) "typed code" "serve.frame-too-large" e.Diag.code;
   (* A negative length is the same poison. *)
   let d = Frame.decoder ~max_frame:64 () in
   Bytes.set_int32_be header 0 (-1l);
   let e =
-    Helpers.check_errd "negative" (Frame.feed d (Bytes.to_string header))
+    Helpers.check_err "negative" (Frame.feed d (Bytes.to_string header))
   in
   Alcotest.(check string) "negative length refused" "serve.frame-too-large"
     e.Diag.code
@@ -82,7 +82,7 @@ let peer_burst peer dec n =
   match Unix.read peer buf 0 n with
   | 0 -> []
   | k ->
-      Helpers.check_okd "peer feed" (Frame.feed dec (Bytes.sub_string buf 0 k))
+      Helpers.check_ok "peer feed" (Frame.feed dec (Bytes.sub_string buf 0 k))
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> []
 
 (* Flush and read in bursts until [want] frames arrived (or 10s). *)
@@ -156,7 +156,7 @@ let conn_oversize_header () =
 
 let conn_half_close_still_flushes () =
   let c, peer = conn_pair () in
-  Helpers.check_okd "peer send" (Frame.send peer "{\"op\":\"ping\"}");
+  Helpers.check_ok "peer send" (Frame.send peer "{\"op\":\"ping\"}");
   Unix.shutdown peer Unix.SHUTDOWN_SEND;
   (match Conn.read c with
   | [ p ], Conn.Eof -> Alcotest.(check string) "frame" "{\"op\":\"ping\"}" p
@@ -184,7 +184,7 @@ let request_parses () =
         ("deadline", Jsonl.Float 2.5);
       ]
   in
-  let env = Helpers.check_okd "parse" (Protocol.parse_request payload) in
+  let env = Helpers.check_ok "parse" (Protocol.parse_request payload) in
   Alcotest.(check string) "id echoes" "42" env.Protocol.req_id;
   Alcotest.(check (option (float 1e-9))) "deadline" (Some 2.5)
     env.Protocol.req_deadline;
@@ -193,7 +193,7 @@ let request_parses () =
 
 let request_errors_are_typed () =
   let code payload =
-    (Helpers.check_errd "reject" (Protocol.parse_request payload)).Diag.code
+    (Helpers.check_err "reject" (Protocol.parse_request payload)).Diag.code
   in
   Alcotest.(check string) "no op" "serve.bad-request" (code "{\"id\":\"1\"}");
   Alcotest.(check string) "unknown op" "serve.bad-request"
@@ -203,13 +203,13 @@ let request_errors_are_typed () =
     Printf.sprintf "{\"op\":\"ping\",\"id\":%S}" (String.make 256 'x')
   in
   Alcotest.(check string) "over the byte ceiling" "batch.frame-too-large"
-    (Helpers.check_errd "bounded"
+    (Helpers.check_err "bounded"
        (Protocol.parse_request ~max_bytes:64 big))
       .Diag.code
 
 let response_roundtrip () =
   let ok = Protocol.ok_response ~id:"7" ~cached:true (Jsonl.Obj []) in
-  let r = Helpers.check_okd "parse ok" (Protocol.parse_response ok) in
+  let r = Helpers.check_ok "parse ok" (Protocol.parse_response ok) in
   Alcotest.(check bool) "ok" true r.Protocol.r_ok;
   Alcotest.(check bool) "cached" true r.Protocol.r_cached;
   Alcotest.(check string) "id" "7" r.Protocol.r_id;
@@ -217,7 +217,7 @@ let response_roundtrip () =
     Protocol.error_response ~id:"8" ~retry_after:1.5
       (Diag.unavailable ~code:"serve.overloaded" "queue full")
   in
-  let r = Helpers.check_okd "parse err" (Protocol.parse_response err) in
+  let r = Helpers.check_ok "parse err" (Protocol.parse_response err) in
   Alcotest.(check bool) "not ok" false r.Protocol.r_ok;
   Alcotest.(check (option (float 1e-9))) "retry hint" (Some 1.5)
     r.Protocol.r_retry_after;
@@ -260,19 +260,19 @@ let client_keeps_pipelined_replies () =
       Unix.close lfd;
       rm socket)
   @@ fun () ->
-  let c = Helpers.check_okd "connect" (Client.connect socket) in
+  let c = Helpers.check_ok "connect" (Client.connect socket) in
   let server, _ = Unix.accept lfd in
   let replies =
     List.map
       (fun id -> Protocol.ok_response ~id (Jsonl.Obj []))
       [ "a"; "b"; "c" ]
   in
-  Helpers.check_okd "one write"
+  Helpers.check_ok "one write"
     (Frame.write_all server (String.concat "" (List.map Frame.encode replies)));
   Unix.close server;
   let ids =
     List.init 3 (fun _ ->
-        match Helpers.check_okd "recv" (Client.recv ~timeout:5. c) with
+        match Helpers.check_ok "recv" (Client.recv ~timeout:5. c) with
         | Some r -> r.Protocol.r_id
         | None -> "<eof>")
   in
@@ -334,7 +334,7 @@ let with_daemon cfg f =
       ignore (wait_exit pid);
       raise e
 
-let connect socket = Helpers.check_okd "connect" (Client.connect socket)
+let connect socket = Helpers.check_ok "connect" (Client.connect socket)
 
 let schedule_payload ~id ?(weights = "1/1/1/1") ?inject ?deadline () =
   Client.build ~op:"schedule" ~id
@@ -352,7 +352,7 @@ let schedule_payload ~id ?(weights = "1/1/1/1") ?inject ?deadline () =
     | Some d -> [ ("deadline", Jsonl.Float d) ])
 
 let request c payload =
-  Helpers.check_okd "request" (Client.request ~timeout:30. c payload)
+  Helpers.check_ok "request" (Client.request ~timeout:30. c payload)
 
 let response_code (r : Protocol.response) =
   if r.Protocol.r_ok then "ok"
@@ -407,17 +407,17 @@ let serve_roundtrip_cache_and_drain () =
   (* Half-close: shut our send side right after the frame; the response
      must still arrive on the owed connection. *)
   let hc = connect socket in
-  Helpers.check_okd "send"
+  Helpers.check_ok "send"
     (Client.send hc (schedule_payload ~id:"half" ()));
   (try Unix.shutdown (Client.fd hc) Unix.SHUTDOWN_SEND
    with Unix.Unix_error _ -> ());
-  (match Helpers.check_okd "recv" (Client.recv ~timeout:30. hc) with
+  (match Helpers.check_ok "recv" (Client.recv ~timeout:30. hc) with
   | Some r -> Alcotest.(check string) "half-close answered" "ok" (response_code r)
   | None -> Alcotest.fail "daemon closed a half-closed conn unanswered");
   Client.close hc;
   (* Oversize: a frame over the daemon's ceiling gets a typed refusal. *)
   let ov = connect socket in
-  Helpers.check_okd "send oversize"
+  Helpers.check_ok "send oversize"
     (Client.send ov (String.make ((64 * 1024) + 1) 'x'));
   (match Client.recv ~timeout:30. ov with
   | Ok (Some r) ->
@@ -427,7 +427,7 @@ let serve_roundtrip_cache_and_drain () =
   Client.close ov;
   stop_daemon pid;
   (* Crash-only durability: both stores exist and the cache replays. *)
-  let t = Helpers.check_okd "cache replays" (Explore.Cache.load cache) in
+  let t = Helpers.check_ok "cache replays" (Explore.Cache.load cache) in
   Alcotest.(check bool) "cache persisted the result" true
     (Explore.Cache.size t >= 1);
   Alcotest.(check bool) "journal written" true (Sys.file_exists journal)
@@ -452,7 +452,7 @@ let serve_sheds_overload_and_kills_hangs () =
   let c = connect socket in
   (* Distinct weights give distinct content keys — no coalescing. *)
   for i = 1 to 4 do
-    Helpers.check_okd "send hang"
+    Helpers.check_ok "send hang"
       (Client.send c
          (schedule_payload
             ~id:(Printf.sprintf "hang%d" i)
@@ -462,7 +462,7 @@ let serve_sheds_overload_and_kills_hangs () =
   let codes = ref [] in
   let retry_hints = ref 0 in
   for _ = 1 to 4 do
-    match Helpers.check_okd "recv" (Client.recv ~timeout:30. c) with
+    match Helpers.check_ok "recv" (Client.recv ~timeout:30. c) with
     | Some r ->
         codes := response_code r :: !codes;
         if r.Protocol.r_retry_after <> None then incr retry_hints
@@ -558,7 +558,7 @@ let serve_refuses_a_non_socket_path () =
   @@ fun () ->
   let started () = failwith "the daemon replaced the file and served" in
   let d =
-    Helpers.check_errd "run"
+    Helpers.check_err "run"
       (Daemon.run ~ready:started (Daemon.default ~socket))
   in
   Alcotest.(check string) "typed bind error" "serve.bind" d.Diag.code;
@@ -573,7 +573,7 @@ let endpoint_listen_all_or_nothing () =
   Out_channel.with_open_bin notes (fun oc -> output_string oc "keep me\n");
   Fun.protect ~finally:(fun () -> List.iter rm [ good; notes ]) @@ fun () ->
   let d =
-    Helpers.check_errd "listen"
+    Helpers.check_err "listen"
       (Endpoint.listen ~code:"test.bind"
          [ Endpoint.Unix_path good; Endpoint.Unix_path notes ])
   in
@@ -598,9 +598,9 @@ let serve_oversize_refusal_lingers () =
   let pid = start_daemon cfg in
   Fun.protect ~finally:(fun () -> rm socket) @@ fun () ->
   let c = connect socket in
-  Helpers.check_okd "whole oversized frame written"
+  Helpers.check_ok "whole oversized frame written"
     (Client.send c (String.make 200_000 'x'));
-  (match Helpers.check_okd "recv" (Client.recv ~timeout:10. c) with
+  (match Helpers.check_ok "recv" (Client.recv ~timeout:10. c) with
   | Some r ->
       Alcotest.(check string) "typed refusal" "serve.frame-too-large"
         (response_code r)
@@ -621,7 +621,7 @@ let bombard_planted_faults_come_back_typed () =
   Fun.protect ~finally:(fun () -> rm socket) @@ fun () ->
   let report =
     with_daemon (Daemon.default ~socket) (fun () ->
-        Helpers.check_okd "bombard"
+        Helpers.check_ok "bombard"
           (Bombard.run
              {
                (Bombard.default ~socket) with

@@ -6,7 +6,7 @@
 
 let test name f = Alcotest.test_case name `Quick f
 
-let parse_exn text = Helpers.check_okd "parse" (Dfg.Parser.parse text)
+let parse_exn text = Helpers.check_ok "parse" (Dfg.Parser.parse text)
 
 (* t and f are exclusive, and at latency 2 the steps 1 and 3 fold onto
    one cell; at those steps they run in different iterations, so they may
@@ -40,7 +40,7 @@ let unit_delay _ = 1
 let unfold_diags ~latency s =
   codes
     (Core.Schedule.check_diags
-       (Helpers.check_okd "unfold" (Core.Pipeline.unfold s ~latency ())))
+       (Helpers.check_ok "unfold" (Core.Pipeline.unfold s ~latency ())))
 
 (* The repros with t and f at 1 and 3: one folded cell at latency 2, in
    different iterations. *)
@@ -73,7 +73,7 @@ let planted_port_share_unfolds_into_conflict () =
        (Core.Schedule.Fu_conflict (id g "t", id g "f"))
        (Core.Schedule.violations s));
   let unfolded =
-    Helpers.check_okd "unfold" (Core.Pipeline.unfold s ~latency:2 ())
+    Helpers.check_ok "unfold" (Core.Pipeline.unfold s ~latency:2 ())
   in
   Alcotest.(check bool) "unfolds into a port conflict on mem:AB" true
     (List.exists
@@ -85,7 +85,7 @@ let planted_port_share_unfolds_into_conflict () =
 let replicate_keeps_banks () =
   let g = mem_repro () in
   let g3 =
-    Helpers.check_okd "replicate" (Core.Pipeline.replicate ~copies:3 g)
+    Helpers.check_ok "replicate" (Core.Pipeline.replicate ~copies:3 g)
   in
   Alcotest.(check (list string)) "one bank for every instance" [ "AB" ]
     (Dfg.Graph.bank_names g3);
@@ -116,8 +116,7 @@ let planted_datapaths_flagged () =
     codes
       (Analysis.Finding.diags
          (Analysis.Rtl_lint.check ~latency:2 dp
-            (Helpers.check_ok "controller"
-               (Rtl.Controller.generate dp ~delay:unit_delay))
+            (Rtl.Controller.make dp ~delay:unit_delay)
             ~delay:unit_delay))
   in
   let g = unit_repro () in
@@ -167,7 +166,7 @@ let schedules_unfold_clean =
       let config = latency_cfg latency in
       let cs = Core.Timeframe.min_cs config g + 1 in
       let mfs =
-        Helpers.check_okd "MFS"
+        Helpers.check_ok "MFS"
           (Core.Mfs.schedule ~config g (Core.Mfs.Time { cs }))
       in
       let listed =
@@ -186,7 +185,7 @@ let mfsa_units_stay_in_one_iteration =
       in
       let cs = Core.Timeframe.min_cs config g + 1 in
       let dp =
-        (Helpers.check_okd "MFSA" (Core.Mfsa.run ~config ~library ~cs g))
+        (Helpers.check_ok "MFSA" (Core.Mfsa.run ~config ~library ~cs g))
           .Core.Mfsa.datapath
       in
       let delay i =

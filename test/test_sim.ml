@@ -19,7 +19,7 @@ let eval_missing_input () =
   let g = Workloads.Classic.diffeq () in
   let msg = Helpers.check_err "missing" (Sim.Eval.run g [ ("x", 1) ]) in
   Alcotest.(check bool) "names a missing input" true
-    (Helpers.contains ~sub:"missing" msg)
+    (Helpers.contains ~sub:"missing" (Diag.message msg))
 
 let active_guards () =
   let g = Workloads.Classic.cond_example () in
@@ -42,7 +42,7 @@ let machine_runs_diamond () =
              (alu [ Dfg.Op.Add ], [ 2 ]) ])
   in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   let env = [ ("a", 2); ("b", 3); ("c", 4); ("d", 5) ] in
   let r = Helpers.check_ok "machine" (Sim.Machine.run dp ctrl ~env) in
@@ -53,12 +53,11 @@ let machine_skips_inactive () =
   let g = Workloads.Classic.cond_example () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:unit_delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:unit_delay
   in
   let env = [ ("a", 9); ("b", 5); ("c", 2) ] in
   (* a >= b: c1 = 0, the false arm runs. *)
@@ -80,7 +79,7 @@ let machine_missing_input () =
              (alu [ Dfg.Op.Add ], [ 2 ]) ])
   in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   ignore
     (Helpers.check_err "missing input"
@@ -96,7 +95,7 @@ let equiv_detects_broken_controller () =
              (alu [ Dfg.Op.Add ], [ 2 ]) ])
   in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:unit_delay)
+    Rtl.Controller.make dp ~delay:unit_delay
   in
   (* Corrupt the add's operand sources: both read the same multiplier. *)
   let broken =
@@ -126,12 +125,11 @@ let equiv_random_on_facet () =
   let g = Workloads.Classic.facet () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g + 1) g)
   in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:unit_delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:unit_delay
   in
   match Sim.Equiv.check_random ~runs:30 o.Core.Mfsa.datapath ctrl with
   | Ok () -> ()

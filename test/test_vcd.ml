@@ -3,10 +3,9 @@ let test name f = Alcotest.test_case name `Quick f
 let run_diffeq () =
   let g = Workloads.Classic.diffeq () in
   let lib = Celllib.Ncr.for_graph g in
-  let o = Helpers.check_okd "mfsa" (Core.Mfsa.run ~library:lib ~cs:4 g) in
+  let o = Helpers.check_ok "mfsa" (Core.Mfsa.run ~library:lib ~cs:4 g) in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   let env =
     [ ("x", 2); ("y", 5); ("u", 3); ("dx", 1); ("a", 10); ("three", 3) ]
@@ -68,7 +67,7 @@ let vcd_file_roundtrip () =
   let path = Filename.temp_file "mfs" ".vcd" in
   (match Sim.Vcd.write_file ~path o.Core.Mfsa.datapath r with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Diag.to_string e));
   let content = In_channel.with_open_text path In_channel.input_all in
   Alcotest.(check bool) "file written" true
     (Helpers.contains ~sub:"$enddefinitions" content);

@@ -4,7 +4,7 @@ let synthesised name =
   let g = Option.get (Workloads.Classic.by_name name) in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g + 1) g)
   in
   let delay i =
@@ -12,8 +12,7 @@ let synthesised name =
       (Dfg.Graph.node g i).Dfg.Graph.kind
   in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay)
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay
   in
   (o, ctrl)
 
@@ -54,7 +53,7 @@ let sanitizer () =
          ~assignments:[ (Celllib.Library.make_alu [ Dfg.Op.Neg ], [ 0 ]) ])
   in
   let ctrl =
-    Helpers.check_ok "controller" (Rtl.Controller.generate dp ~delay:(fun _ -> 1))
+    Rtl.Controller.make dp ~delay:(fun _ -> 1)
   in
   let src = Rtl.Verilog.emit dp ctrl in
   Alcotest.(check bool) "dash sanitised" true
@@ -66,12 +65,11 @@ let guards_in_rtl () =
   let g = Workloads.Classic.cond_example () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   let src = Rtl.Verilog.emit o.Core.Mfsa.datapath ctrl in
   Alcotest.(check bool) "guard condition appears" true
@@ -84,12 +82,11 @@ let guards_in_mux_arms () =
   let g = Workloads.Classic.cond_example () in
   let lib = Celllib.Ncr.for_graph g in
   let o =
-    Helpers.check_okd "mfsa"
+    Helpers.check_ok "mfsa"
       (Core.Mfsa.run ~library:lib ~cs:(Dfg.Bounds.critical_path g) g)
   in
   let ctrl =
-    Helpers.check_ok "controller"
-      (Rtl.Controller.generate o.Core.Mfsa.datapath ~delay:(fun _ -> 1))
+    Rtl.Controller.make o.Core.Mfsa.datapath ~delay:(fun _ -> 1)
   in
   let lines =
     String.split_on_char '\n' (Rtl.Verilog.emit o.Core.Mfsa.datapath ctrl)

@@ -117,7 +117,7 @@ let random_dag_spec () =
 
 let random_dag_bad_spec () =
   let d =
-    Helpers.check_errd "zero ops"
+    Helpers.check_err "zero ops"
       (Workloads.Random_dag.generate
          ~spec:{ Workloads.Random_dag.default with Workloads.Random_dag.ops = 0 }
          ~seed:1 ())
