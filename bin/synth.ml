@@ -22,6 +22,7 @@
 
 open Cmdliner
 module Problem = Harness.Problem
+module Flow = Harness.Flow
 
 let load_graph = Batch.Manifest.load_graph
 
@@ -250,50 +251,40 @@ let mfsa_cmd =
         ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
         ?clock ?latency ?ports ~widths g
     in
-    let config = p.Problem.config and lib = p.Problem.library in
     let widths = Problem.widths p in
-    let cs = Problem.cs p cs in
-    let o = or_die ~json (Core.Mfsa.run ~config ~style ~library:lib ~cs g) in
-    Format.printf "%a@." Core.Schedule.pp o.Core.Mfsa.schedule;
-    Format.printf "%a@." Rtl.Datapath.pp o.Core.Mfsa.datapath;
-    Format.printf "%a@." Rtl.Cost.pp o.Core.Mfsa.cost;
+    let d = or_die ~json (Flow.synthesize ~style p Flow.Mfsa (Flow.Time cs)) in
+    let dp = d.Flow.datapath in
+    Format.printf "%a@." Core.Schedule.pp d.Flow.schedule;
+    Format.printf "%a@." Rtl.Datapath.pp dp;
+    (* The full-word cost first; a width-aware design's [cost] is priced
+       at its inferred widths. *)
     (match widths with
-    | None -> ()
-    | Some w ->
-        Format.printf "width-aware %a@." Rtl.Cost.pp
-          (Rtl.Cost.of_datapath ~widths:w lib o.Core.Mfsa.datapath));
+    | None -> Format.printf "%a@." Rtl.Cost.pp d.Flow.cost
+    | Some _ ->
+        Format.printf "%a@.width-aware %a@." Rtl.Cost.pp
+          (Rtl.Cost.of_datapath p.Problem.library dp)
+          Rtl.Cost.pp d.Flow.cost);
     Format.printf "@.";
-    let delay = Problem.delay p in
-    let ctrl = Rtl.Controller.make o.Core.Mfsa.datapath ~delay in
-    (match
-       Rtl.Check.datapath
-         ~style2:(style = Core.Mfsa.No_self_loop)
-         ~steps_overlap:
-           (Core.Grid.steps_overlap
-              ~latency:config.Core.Config.functional_latency)
-         o.Core.Mfsa.datapath ~delay
-     with
+    let ctrl = Rtl.Controller.make dp ~delay:(Problem.delay p) in
+    (match Flow.check ~style2:(style = Core.Mfsa.No_self_loop) p dp with
     | Ok () -> print_endline "datapath checks: ok"
     | Error errs ->
         List.iter
           (fun e -> print_endline ("datapath check FAILED: " ^ Diag.to_string e))
           errs);
     if simulate then begin
-      (match Sim.Equiv.check_random o.Core.Mfsa.datapath ctrl with
+      let random, narrowing = Flow.simulate p dp ctrl in
+      (match random with
       | Ok () -> print_endline "simulation vs golden model: ok (20 random runs)"
       | Error e -> print_endline ("simulation FAILED: " ^ Diag.to_string e));
-      match widths with
+      match narrowing with
       | None -> ()
-      | Some w -> (
-          match
-            Sim.Equiv.check_narrowing ~widths:w o.Core.Mfsa.datapath ctrl
-          with
-          | Ok () ->
-              print_endline
-                "narrowing safety vs full-width model: ok (5 directed + 20 \
-                 random vectors)"
-          | Error e ->
-              print_endline ("narrowing safety FAILED: " ^ Diag.to_string e))
+      | Some (Ok ()) ->
+          print_endline
+            "narrowing safety vs full-width model: ok (5 directed + 20 random \
+             vectors)"
+      | Some (Error e) ->
+          print_endline ("narrowing safety FAILED: " ^ Diag.to_string e)
     end;
     (match vcd with
     | None -> ()
@@ -301,8 +292,8 @@ let mfsa_cmd =
         let env =
           List.mapi (fun i v -> (v, i + 1)) (Dfg.Graph.inputs g)
         in
-        let r = or_die ~json (Sim.Machine.run o.Core.Mfsa.datapath ctrl ~env) in
-        or_die ~json (Sim.Vcd.write_file ~path o.Core.Mfsa.datapath r);
+        let r = or_die ~json (Sim.Machine.run dp ctrl ~env) in
+        or_die ~json (Sim.Vcd.write_file ~path dp r);
         Printf.printf "waveform written to %s\n" path);
     (match fsm with
     | Some encoding ->
@@ -311,12 +302,11 @@ let mfsa_cmd =
     | None -> ());
     if netlist then begin
       print_newline ();
-      print_string (Rtl.Dot_netlist.of_datapath o.Core.Mfsa.datapath)
+      print_string (Rtl.Dot_netlist.of_datapath dp)
     end;
     if verilog then begin
       print_newline ();
-      print_string
-        (Rtl.Verilog.emit ?widths o.Core.Mfsa.datapath ctrl)
+      print_string (Rtl.Verilog.emit ?widths dp ctrl)
     end
   in
   Cmd.v (Cmd.info "mfsa" ~doc)
@@ -394,19 +384,24 @@ let compare_cmd =
       | None, Some d -> row "MFS" ~via (Error d)
       | None, None -> row "MFS" ~via (Error (Diag.internal "no schedule"))
     in
+    let list_row =
+      row "list"
+        (Result.map fst
+           (Flow.schedule p Flow.List_sched (Flow.constr ~cs ~limits)))
+    in
     let baseline_rows =
-      if limits = [] then
-        [
-          row "list" (Baselines.List_sched.time ~config g ~cs);
-          row "FDS" (Baselines.Fds.run ~config g ~cs);
-          row "annealing" (Baselines.Annealing.run ~config g ~cs);
-        ]
-      else
-        [
-          row "list" (Baselines.List_sched.resource ~config g ~limits);
-          [ "FDS"; "n/a under resource limits"; "-"; "-"; "-" ];
-          [ "annealing"; "n/a under resource limits"; "-"; "-"; "-" ];
-        ]
+      list_row
+      ::
+      (if limits = [] then
+         [
+           row "FDS" (Baselines.Fds.run ~config g ~cs);
+           row "annealing" (Baselines.Annealing.run ~config g ~cs);
+         ]
+       else
+         [
+           [ "FDS"; "n/a under resource limits"; "-"; "-"; "-" ];
+           [ "annealing"; "n/a under resource limits"; "-"; "-"; "-" ];
+         ])
     in
     if csv then
       print_string
@@ -460,10 +455,6 @@ let fuzz_cmd =
     Arg.(value & opt string "fuzz-corpus" & info [ "corpus" ] ~docv:"DIR"
            ~doc:"Directory for shrunk failure reproducers.")
   in
-  let stage_seconds_arg =
-    Arg.(value & opt float 5.0 & info [ "stage-seconds" ] ~docv:"S"
-           ~doc:"Wall-clock budget per pipeline stage.")
-  in
   let verbose_arg =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Narrate each eventful run.")
   in
@@ -480,24 +471,19 @@ let fuzz_cmd =
                  past the deadline is SIGKILLed and reported as a \
                  timeout failure.")
   in
-  let run runs seed max_ops inject corpus stage_seconds verbose jobs deadline
-      json =
+  let run runs seed max_ops inject corpus verbose jobs deadline json =
     reject_process_fault ~json ~cmd:"fuzz" ~catcher:"an invariant" inject;
-    let budgets =
-      { Harness.Driver.default_budgets with
-        Harness.Driver.stage_seconds }
-    in
     let log = if verbose then prerr_endline else fun _ -> () in
     let report =
       if jobs <= 1 then
-        Harness.Fuzz.campaign ?fault:inject ~budgets ~corpus_dir:corpus
-          ~max_ops ~log ~runs ~seed ()
+        Harness.Fuzz.campaign ?fault:inject ~corpus_dir:corpus ~max_ops ~log
+          ~runs ~seed ()
       else begin
         (* Pooled campaign: same cases, executed in forked workers under
            the batch watchdogs, re-aggregated in seed order. *)
         let generated = Harness.Fuzz.cases ~max_ops ~runs ~seed () in
         let pool_jobs =
-          Batch.Jobs.fuzz_jobs ?fault:inject ~budgets ~corpus_dir:corpus
+          Batch.Jobs.fuzz_jobs ?fault:inject ~corpus_dir:corpus
             ~campaign_seed:seed generated
         in
         Batch.Pool.install_signal_handlers ();
@@ -524,7 +510,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ runs_arg $ seed_arg $ max_ops_arg $ inject_arg $ corpus_arg
-      $ stage_seconds_arg $ verbose_arg $ jobs_arg $ deadline_arg $ json_arg)
+      $ verbose_arg $ jobs_arg $ deadline_arg $ json_arg)
 
 (* --- batch ------------------------------------------------------------- *)
 
@@ -565,9 +551,8 @@ let batch_cmd =
   in
   let retries_arg =
     Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N"
-           ~doc:"Re-runs allowed after a timeout/oom attempt, each with \
-                 degraded options (halved stage budget, baseline \
-                 engines) under a halved deadline.")
+           ~doc:"Re-runs allowed after a timeout/oom attempt, each on \
+                 the baseline engines under a halved deadline.")
   in
   let heap_mb_arg =
     Arg.(value & opt int 512 & info [ "heap-mb" ] ~docv:"MB"
@@ -577,11 +562,6 @@ let batch_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "verbose" ]
            ~doc:"Narrate spawns, kills and verdicts on stderr.")
-  in
-  let stage_seconds_arg =
-    Arg.(value & opt float 5.0 & info [ "stage-seconds" ] ~docv:"S"
-           ~doc:"Advisory per-stage budget passed to the driver; the \
-                 hard limit is --deadline.")
   in
   let hosts_arg =
     Arg.(value & opt (some string) None & info [ "hosts" ] ~docv:"ENDPOINTS"
@@ -597,17 +577,14 @@ let batch_cmd =
                  when its lease retries are exhausted or no worker is \
                  live.")
   in
-  let run manifest jobs journal resume deadline retries heap_mb stage_seconds
-      hosts local_fallback verbose json =
+  let run manifest jobs journal resume deadline retries heap_mb hosts
+      local_fallback verbose json =
     if resume && journal = None then
       die ~json
         (Diag.usage ~code:"batch.usage" "--resume requires --journal PATH");
     let entries = or_die ~json (Batch.Manifest.parse_file manifest) in
-    let budgets =
-      { Harness.Driver.default_budgets with Harness.Driver.stage_seconds }
-    in
     let pool_jobs =
-      List.mapi (fun i e -> Batch.Jobs.of_entry ~budgets ~seed:i e) entries
+      List.mapi (fun i e -> Batch.Jobs.of_entry ~seed:i e) entries
     in
     let heap_words =
       if heap_mb <= 0 then None
@@ -630,9 +607,7 @@ let batch_cmd =
             List.mapi
               (fun i (j : Batch.Pool.job) ->
                 let entry = List.nth entries i in
-                ( j,
-                  Some (Cluster.Wire.of_entry ~stage_seconds ~seed:i entry)
-                ))
+                (j, Some (Cluster.Wire.of_entry ~seed:i entry)))
               pool_jobs
           in
           let config =
@@ -671,8 +646,8 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
       const run $ manifest_arg $ jobs_arg $ journal_arg $ resume_arg
-      $ deadline_arg $ retries_arg $ heap_mb_arg $ stage_seconds_arg
-      $ hosts_arg $ local_fallback_arg $ verbose_arg $ json_arg)
+      $ deadline_arg $ retries_arg $ heap_mb_arg $ hosts_arg
+      $ local_fallback_arg $ verbose_arg $ json_arg)
 
 (* --- explore ----------------------------------------------------------- *)
 
@@ -843,13 +818,10 @@ let lint_cmd =
         ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
         ?clock ?latency ?ports g
     in
-    let config = p.Problem.config and lib = p.Problem.library in
     let time_mode = limits = [] in
     let cs = Problem.cs p cs in
-    let pre, pre_times =
-      if time_mode then Analysis.Runner.pre_timed ~cs config g
-      else Analysis.Runner.pre_timed ~limits config g
-    in
+    let constr = Flow.constr ~cs ~limits in
+    let pre, pre_times = Flow.pre p constr in
     let post_times = ref [] in
     let timed name f =
       let t0 = Unix.gettimeofday () in
@@ -860,7 +832,7 @@ let lint_cmd =
     let bounds =
       Analysis.Feasibility.analyze
         ?cs:(if time_mode then Some cs else None)
-        config g
+        p.Problem.config g
     in
     let header =
       (if time_mode then
@@ -880,19 +852,19 @@ let lint_cmd =
           ])
     in
     (* The post passes audit a synthesised design; an error on the input
-       (e.g. an infeasible budget) stops here — MFS/MFSA never run. *)
+       (e.g. an infeasible budget) stops here — MFS/MFSA never run. Both
+       run under the same constraint: the budget, or the unit caps. *)
     let post, reg_lines =
       if Analysis.Finding.errors pre <> [] then ([], [])
       else begin
-        let o = or_die ~json (Core.Mfsa.run ~config ~style ~library:lib ~cs g) in
-        let dp = o.Core.Mfsa.datapath in
+        let d = or_die ~json (Flow.synthesize ~style p Flow.Mfsa constr) in
+        let dp = d.Flow.datapath in
         let delay = Problem.delay p in
         (* The MFS schedule carries FU columns (the corrupt-col target); the
            MFSA schedule is audited against its own register binding. *)
         let mfs_sched, mfs_trace =
-          match Core.Mfs.run ~config g (Core.Mfs.Time { cs }) with
-          | Ok m -> (m.Core.Mfs.schedule, Some m.Core.Mfs.trace)
-          | Error _ -> (o.Core.Mfsa.schedule, None)
+          Result.value ~default:(d.Flow.schedule, None)
+            (Flow.schedule p Flow.Mfs constr)
         in
         let sched, trace =
           Option.value ~default:(mfs_sched, mfs_trace)
@@ -912,21 +884,17 @@ let lint_cmd =
           timed "post-schedule" (fun () ->
               Analysis.Runner.post_schedule ?trace sched
               @ Analysis.Sched_lint.lifetimes ~regs:dp.Rtl.Datapath.regs
-                  o.Core.Mfsa.schedule)
+                  d.Flow.schedule)
         in
         let post_rtl =
-          timed "post-rtl" (fun () ->
-              Analysis.Runner.post_rtl
-                ~share_mutex:config.Core.Config.share_mutex
-                ?latency:config.Core.Config.functional_latency dp ctrl
-                ~delay:eff_delay)
+          timed "post-rtl" (fun () -> Flow.post_rtl ~delay:eff_delay p dp ctrl)
         in
         let fs = post_sched @ post_rtl in
         ( fs,
           [
             Printf.sprintf "registers: %d used; lower bound %d"
               dp.Rtl.Datapath.regs.Rtl.Left_edge.count
-              (Analysis.Sched_lint.reg_lower_bound o.Core.Mfsa.schedule);
+              (Analysis.Sched_lint.reg_lower_bound d.Flow.schedule);
           ] )
       end
     in
@@ -1299,10 +1267,6 @@ let chaos_cmd =
     Arg.(value & opt float 10.0 & info [ "deadline" ] ~docv:"S"
            ~doc:"Per-attempt wall-clock watchdog.")
   in
-  let stage_seconds_arg =
-    Arg.(value & opt float 5.0 & info [ "stage-seconds" ] ~docv:"S"
-           ~doc:"Advisory per-stage budget.")
-  in
   let no_kill_arg =
     Arg.(value & flag & info [ "no-kill" ]
            ~doc:"Skip the kill -9 of a worker mid-lease.")
@@ -1332,8 +1296,8 @@ let chaos_cmd =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Print the report as one JSON object on stdout.")
   in
-  let run dir workers jobs deadline stage_seconds no_kill sigstop slow_loris
-      no_duplicate seed verbose json_out =
+  let run dir workers jobs deadline no_kill sigstop slow_loris no_duplicate
+      seed verbose json_out =
     let json = json_out in
     let cfg =
       {
@@ -1344,7 +1308,6 @@ let chaos_cmd =
         stop_worker = sigstop;
         slow_loris;
         duplicate = not no_duplicate;
-        stage_seconds;
         deadline;
         seed;
         log = (if verbose then prerr_endline else fun _ -> ());
@@ -1366,8 +1329,8 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ dir_arg $ workers_arg $ jobs_arg $ deadline_arg
-      $ stage_seconds_arg $ no_kill_arg $ stop_arg $ loris_arg
-      $ no_duplicate_arg $ seed_arg $ verbose_arg $ json_out_arg)
+      $ no_kill_arg $ stop_arg $ loris_arg $ no_duplicate_arg $ seed_arg
+      $ verbose_arg $ json_out_arg)
 
 (* --- version ----------------------------------------------------------- *)
 

@@ -64,16 +64,16 @@ let outcome_payload (o : Harness.Driver.outcome) =
   in
   Jsonl.to_string (Jsonl.Obj fields)
 
-let run_entry ~budgets ~options (e : Manifest.entry) () =
+let run_entry ~options (e : Manifest.entry) () =
   match Manifest.load_graph e.Manifest.e_spec with
   | Error d -> Error d
   | Ok g -> (
-      let o = Harness.Driver.run ?fault:e.Manifest.e_fault ~budgets ~options g in
+      let o = Harness.Driver.run ?fault:e.Manifest.e_fault ~options g in
       match o.Harness.Driver.stopped with
       | Some d -> Error d
       | None -> Ok (outcome_payload o))
 
-let of_entry ~budgets ~seed (e : Manifest.entry) =
+let of_entry ~seed (e : Manifest.entry) =
   let descr = Manifest.descr e in
   (* The id folds in the DFG file's contents when the spec is a file, so
      editing an input invalidates stale journal records on resume. *)
@@ -83,19 +83,12 @@ let of_entry ~budgets ~seed (e : Manifest.entry) =
     else ""
   in
   let id = digest (String.concat "|" [ "entry"; descr; content ]) in
-  let degraded_budgets =
-    {
-      budgets with
-      Harness.Driver.stage_seconds =
-        budgets.Harness.Driver.stage_seconds /. 2.0;
-    }
-  in
   let degraded_options =
     { e.Manifest.e_options with Harness.Driver.baseline_only = true }
   in
   Pool.job ~id ~seed ~descr
-    (run_entry ~budgets ~options:e.Manifest.e_options e)
-    ~degraded:(run_entry ~budgets:degraded_budgets ~options:degraded_options e)
+    (run_entry ~options:e.Manifest.e_options e)
+    ~degraded:(run_entry ~options:degraded_options e)
 
 let summarize records =
   let buf = Buffer.create 256 in
@@ -195,8 +188,7 @@ let degrade_generated (g : Harness.Fuzz.generated) =
         g.Harness.Fuzz.g_case;
   }
 
-let fuzz_jobs ?fault ?(budgets = Harness.Driver.default_budgets) ?corpus_dir
-    ~campaign_seed generated =
+let fuzz_jobs ?fault ?corpus_dir ~campaign_seed generated =
   List.map
     (fun (g : Harness.Fuzz.generated) ->
       let case_src =
@@ -230,21 +222,14 @@ let fuzz_jobs ?fault ?(budgets = Harness.Driver.default_budgets) ?corpus_dir
       (* The job seed is the case seed: monotone in the run index, so
          seed order IS run order, and verdict-level failures surface the
          same seed the sequential campaign reports. *)
-      let degraded_budgets =
-        {
-          budgets with
-          Harness.Driver.stage_seconds =
-            budgets.Harness.Driver.stage_seconds /. 2.0;
-        }
-      in
       Pool.job ~id ~seed:g.Harness.Fuzz.g_seed ~descr
         (fun () ->
-          Ok (classified_payload (Harness.Fuzz.execute ?fault ~budgets ?corpus_dir g)))
+          Ok (classified_payload (Harness.Fuzz.execute ?fault ?corpus_dir g)))
         ~degraded:(fun () ->
           Ok
             (classified_payload
-               (Harness.Fuzz.execute ?fault ~budgets:degraded_budgets
-                  ?corpus_dir (degrade_generated g)))))
+               (Harness.Fuzz.execute ?fault ?corpus_dir
+                  (degrade_generated g)))))
     generated
 
 let fuzz_report records =

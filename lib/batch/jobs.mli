@@ -10,8 +10,8 @@
       into the familiar campaign report ([fuzz_report]) so [--jobs 1]
       and [--jobs 8] print identical summaries.
 
-    Every job carries a [degraded] closure for the {!Retry} policy:
-    halved [stage_seconds] and [baseline_only] engines. *)
+    Every job carries a [degraded] closure for the {!Retry} policy: the
+    same run on the [baseline_only] engines. *)
 
 val digest : string -> string
 (** Stable hex digest used for job ids (inputs + options + fault). *)
@@ -38,8 +38,7 @@ val generic :
 
 (** {2 Manifest jobs} *)
 
-val of_entry :
-  budgets:Harness.Driver.budgets -> seed:int -> Manifest.entry -> Pool.job
+val of_entry : seed:int -> Manifest.entry -> Pool.job
 (** The graph is loaded {e inside the worker}, so a malformed DFG file
     rejects only its own job. [seed] is the submission index. *)
 
@@ -50,9 +49,8 @@ val summarize : Journal.record list -> string
 (** {2 Fuzz jobs} *)
 
 val fuzz_jobs :
-  ?fault:Harness.Fault.t -> ?budgets:Harness.Driver.budgets ->
-  ?corpus_dir:string -> campaign_seed:int -> Harness.Fuzz.generated list ->
-  Pool.job list
+  ?fault:Harness.Fault.t -> ?corpus_dir:string -> campaign_seed:int ->
+  Harness.Fuzz.generated list -> Pool.job list
 
 val fuzz_report : Journal.record list -> Harness.Fuzz.report
 (** Aggregate final records by seed order. Worker-level verdicts map to

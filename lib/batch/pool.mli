@@ -7,8 +7,8 @@
     watchdogs —
 
     - a {b wall-clock deadline}: the worker is SIGKILLed (not asked
-      nicely) when its attempt exceeds the deadline, closing the gap
-      left by {!Harness.Driver}'s post-hoc [over_budget] flag;
+      nicely) when its attempt exceeds the deadline — the only time
+      limit a synthesis run has;
     - a {b heap ceiling}: a {!Gc} alarm inside the worker aborts the
       job as soon as the OCaml major heap crosses [heap_words].
 
@@ -33,7 +33,7 @@ type job = {
       (** Runs in the worker. [Ok payload] becomes [Done payload];
           [Error d] becomes [Rejected d]. Must not write to stdout. *)
   degraded : (unit -> (string, Diag.t) result) option;
-      (** Cheaper variant for the retry attempt (lower budgets, baseline
+      (** Cheaper variant for the retry attempt (e.g. the baseline
           engines). [None] retries with [work] itself. *)
 }
 

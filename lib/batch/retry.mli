@@ -4,8 +4,8 @@
     ({!should_retry} / {!deadline}) re-runs a job that hit the
     wall-clock watchdog ([Timeout]) or the heap ceiling ([Oom]) — a
     possible straggler rather than a defect — once with degraded options
-    (the job's [degraded] closure, typically lower [stage_seconds] and
-    forced baseline engines) under a scaled deadline before classifying
+    (the job's [degraded] closure, typically forced baseline engines)
+    under a scaled deadline before classifying
     it as failed. [Rejected], [Crashed] and [Done] verdicts are never
     retried: they are deterministic outcomes, not resource exhaustion.
 

@@ -9,8 +9,8 @@
       (malformed input, infeasible constraints). Not a failure unless
       the diagnostic is itself a bug ({!Diag.is_bug}).
     - [Timeout] — the wall-clock watchdog SIGKILLed the worker at its
-      deadline. Unlike {!Harness.Driver}'s advisory [over_budget], this
-      is hard enforcement: an in-stage infinite loop dies here.
+      deadline. {!Harness.Driver} sets no time limit of its own, so an
+      in-stage infinite loop dies here.
     - [Oom] — the worker's {!Gc} alarm found the OCaml heap above the
       ceiling and aborted the job before the machine started swapping.
     - [Crashed] — the worker died any other way: a genuine signal

@@ -13,7 +13,6 @@ type config = {
   stop_worker : bool;
   slow_loris : bool;
   duplicate : bool;
-  stage_seconds : float;
   deadline : float;
   seed : int;
   log : string -> unit;
@@ -28,7 +27,6 @@ let default_config ~dir =
     stop_worker = false;
     slow_loris = false;
     duplicate = true;
-    stage_seconds = 5.0;
     deadline = 10.0;
     seed = 0;
     log = (fun (_ : string) -> ());
@@ -117,12 +115,6 @@ let manifest_lines cfg =
         Printf.sprintf "%s --cs %d" spec (cs + (i / Array.length specs)))
 
 let build_jobs cfg =
-  let budgets =
-    {
-      Harness.Driver.default_budgets with
-      Harness.Driver.stage_seconds = cfg.stage_seconds;
-    }
-  in
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
@@ -130,11 +122,8 @@ let build_jobs cfg =
         | Error d -> Error d
         | Ok None -> go (i + 1) acc rest
         | Ok (Some entry) ->
-            let job = Jobs.of_entry ~budgets ~seed:i entry in
-            let wire =
-              Wire.of_entry ~stage_seconds:cfg.stage_seconds ~seed:i entry
-            in
-            go (i + 1) ((job, wire) :: acc) rest)
+            let job = Jobs.of_entry ~seed:i entry in
+            go (i + 1) ((job, Wire.of_entry ~seed:i entry) :: acc) rest)
   in
   go 0 [] (manifest_lines cfg)
 

@@ -28,7 +28,6 @@ type config = {
   stop_worker : bool;  (** SIGSTOP worker 1 at half-way. *)
   slow_loris : bool;
   duplicate : bool;  (** Last worker sends every result twice. *)
-  stage_seconds : float;
   deadline : float;
   seed : int;
   log : string -> unit;

@@ -2,34 +2,23 @@ module Jsonl = Batch.Jsonl
 
 let bad msg = Diag.input ~code:"cluster.bad-wire" msg
 
-let of_entry ~stage_seconds ~seed (e : Batch.Manifest.entry) =
+let of_entry ~seed (e : Batch.Manifest.entry) =
   Jsonl.Obj
     [
       ("family", Jsonl.String "manifest");
       ("line", Jsonl.String (Batch.Manifest.descr e));
-      ("stage_seconds", Jsonl.Float stage_seconds);
       ("seed", Jsonl.Int seed);
     ]
 
 let manifest_job doc =
   let line = Option.value ~default:"" (Jsonl.str "line" doc) in
-  let stage_seconds =
-    Option.value ~default:5.0 (Jsonl.float "stage_seconds" doc)
-  in
   let seed = Option.value ~default:0 (Jsonl.int "seed" doc) in
   if line = "" then Error (bad "manifest wire job is missing its line")
   else
     match Batch.Manifest.parse_line ~file:"<lease>" ~line:1 line with
     | Error d -> Error d
     | Ok None -> Error (bad "manifest wire job line is blank")
-    | Ok (Some entry) ->
-        let budgets =
-          {
-            Harness.Driver.default_budgets with
-            Harness.Driver.stage_seconds;
-          }
-        in
-        Ok (Batch.Jobs.of_entry ~budgets ~seed entry)
+    | Ok (Some entry) -> Ok (Batch.Jobs.of_entry ~seed entry)
 
 let to_job doc =
   match Jsonl.str "family" doc with

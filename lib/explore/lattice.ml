@@ -186,60 +186,20 @@ let total_units s =
 let evaluate ~graph p =
   Option.iter Harness.Fault.crash p.fault;
   let t0 = Unix.gettimeofday () in
-  let prob = problem ~graph p in
-  let lib = prob.Harness.Problem.library
-  and config = prob.Harness.Problem.config in
-  let widths = Harness.Problem.widths prob in
-  let cs = Harness.Problem.cs prob in
-  (* MFSA costs its own binding at the full word; width-aware points
-     re-price the winning datapath at inferred widths. MFS and the list
-     baseline do not bind; they are priced through the column binding. *)
-  let recost (o : Core.Mfsa.outcome) =
-    match widths with
-    | None -> (o.Core.Mfsa.schedule, o.Core.Mfsa.cost)
-    | Some _ ->
-        ( o.Core.Mfsa.schedule,
-          Rtl.Cost.of_datapath ?widths lib o.Core.Mfsa.datapath )
-  in
-  let price s =
-    Result.map
-      (fun dp -> (s, Rtl.Cost.of_datapath ?widths lib dp))
-      (Harness.Problem.colbind_datapath lib config graph s)
-  in
-  let outcome =
-    match (p.engine, p.constr) with
-    | Spec.Mfsa, Spec.Time t ->
-        Result.map recost
-          (Core.Mfsa.run ~config ~style:p.style ~weights:p.weights ~library:lib
-             ~cs:(cs t) graph)
-    | Spec.Mfsa, Spec.Resource limits ->
-        Result.map recost
-          (Core.Mfsa.run_resource ~config ~style:p.style ~weights:p.weights
-             ~library:lib ~limits graph)
-    | Spec.Mfs, constr ->
-        let spec_kind =
-          match constr with
-          | Spec.Time t -> Core.Mfs.Time { cs = cs t }
-          | Spec.Resource limits -> Core.Mfs.Resource { limits }
-        in
-        Result.bind (Core.Mfs.schedule ~config graph spec_kind) price
-    | Spec.List_sched, Spec.Time t ->
-        Result.bind (Baselines.List_sched.time ~config graph ~cs:(cs t)) price
-    | Spec.List_sched, Spec.Resource limits ->
-        Result.bind (Baselines.List_sched.resource ~config graph ~limits) price
-  in
   Result.map
-    (fun ((s : Core.Schedule.t), (cost : Rtl.Cost.breakdown)) ->
+    (fun (d : Harness.Flow.design) ->
+      let cost = d.cost in
       {
-        m_csteps = s.Core.Schedule.cs;
-        m_units = total_units s;
+        m_csteps = d.schedule.Core.Schedule.cs;
+        m_units = total_units d.schedule;
         m_alu = cost.Rtl.Cost.alu_area;
         m_mux = cost.Rtl.Cost.mux_area;
         m_reg = cost.Rtl.Cost.n_regs;
         m_total = cost.Rtl.Cost.total;
         m_seconds = Unix.gettimeofday () -. t0;
       })
-    outcome
+    (Harness.Flow.synthesize ~style:p.style ~weights:p.weights
+       (problem ~graph p) p.engine p.constr)
 
 let job ~graph p =
   Batch.Jobs.generic ~id:(key ~graph p) ~seed:p.index ~descr:(descr p)

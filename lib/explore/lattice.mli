@@ -67,11 +67,13 @@ val metrics_of_json : Batch.Jsonl.t -> (metrics, string) result
 (** {2 Evaluation} *)
 
 val evaluate : graph:Dfg.Graph.t -> point -> (metrics, Diag.t) result
-(** Run the point's engine on the graph and cost the result: MFSA costs
-    its own binding; MFS and the list baseline are costed through the
-    column binding ({!Harness.Problem.colbind_datapath}). A rejection
-    keeps the engine's code and category: the list baseline's are
-    infeasible, a binding failure is internal.
+(** Synthesize the point ({!Harness.Flow.synthesize}) and read its
+    metrics: MFSA costs its own binding; MFS and the list baseline are
+    costed through the column binding. A list schedule carries no FU
+    columns, so its [m_units] is its peak concurrency
+    ({!Core.Schedule.fu_counts}). A
+    rejection keeps the engine's code and category: the list baseline's
+    are infeasible, a binding failure is internal.
     Planted process faults hang or kill the calling process — evaluate
     such points only under the supervised pool. *)
 

@@ -1,7 +1,9 @@
-type engine = Mfsa | Mfs | List_sched
+type engine = Harness.Flow.engine = Mfsa | Mfs | List_sched
 type library_variant = Harness.Problem.library_variant =
   | Default | Two_cycle | Pipelined
-type constraint_ = Time of int | Resource of (string * int) list
+type constraint_ = Harness.Flow.constr =
+  | Time of int
+  | Resource of (string * int) list
 
 type t = {
   graph : string;

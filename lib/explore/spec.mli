@@ -26,13 +26,16 @@
     library [default]). Malformed lines are [explore.spec] input errors
     with a file:line span. *)
 
-type engine = Mfsa | Mfs | List_sched
+type engine = Harness.Flow.engine = Mfsa | Mfs | List_sched
+(** The engine axis ({!Harness.Flow.synthesize}). *)
 
 type library_variant = Harness.Problem.library_variant =
   | Default | Two_cycle | Pipelined
 (** The cell-library axis ({!Harness.Problem.make}). *)
 
-type constraint_ = Time of int | Resource of (string * int) list
+type constraint_ = Harness.Flow.constr =
+  | Time of int
+  | Resource of (string * int) list
 (** One point of the merged time/resource axis: a control-step budget
     ([Time 0] = critical-path minimum) or per-class FU limits. *)
 

@@ -1,20 +1,23 @@
-(** Staged pipeline driver with graceful degradation, shared by the fuzz
-    campaign and the CLI.
+(** The staged pipeline with graceful degradation, shared by the fuzz
+    campaign, the batch jobs and [synth compare]: policy over {!Flow}.
 
-    Stages: CSE → schedule (MFS) → fault injection → cross-stage
-    invariants → bind (MFSA) → datapath checks → controller → simulation
-    vs the golden model. Each stage is wall-clock timed against a budget;
-    an internal failure in a kernel stage is recorded as a violation and
-    the stage degrades to a baseline ({!Baselines.List_sched} + column
-    packing for MFS, column-packed single-function binding for MFSA), so
-    one defect never hides what the rest of the pipeline would have
-    found. Expected rejections — infeasible budgets, malformed input —
-    stop the run with [stopped] set and are not violations. *)
+    Stages: CSE → pre-gate → schedule (MFS) → fault injection →
+    cross-stage invariants → bind (MFSA, under the same time or resource
+    constraint) → datapath checks → controller → post-lint → simulation
+    vs the golden model. An internal failure in a kernel stage is
+    recorded as a violation and the stage degrades to a baseline (list
+    scheduling + column packing for MFS, column-packed single-function
+    binding for MFSA), so one defect never hides what the rest of the
+    pipeline would have found. Expected rejections — infeasible budgets,
+    malformed input — stop the run with [stopped] set and are not
+    violations. The driver sets no time limit: a stage that hangs is
+    ended by the batch pool's wall-clock watchdog ({!Batch.Pool}). *)
 
 type options = {
   cs : int;  (** Time budget; [<= 0] means the critical-path minimum. *)
   limits : (string * int) list;
-      (** Resource-constrained MFS when non-empty. *)
+      (** Unit caps: MFS and MFSA run resource-constrained when
+          non-empty ({!Flow.constr}). *)
   two_cycle : bool;
   pipelined : bool;
   latency : int option;
@@ -24,8 +27,8 @@ type options = {
   widths : bool;
       (** Width-aware mode: run [Analysis.Ranges], feed width-scaled
           per-node delays to the chaining probes, and add a
-          narrowing-safety simulation stage ([Sim.Equiv.check_narrowing])
-          after the random-equivalence stage. *)
+          narrowing-safety simulation ({!Flow.simulate}) to the
+          random-equivalence stage. *)
   baseline_only : bool;
       (** Skip the MFS/MFSA primaries and run the degradation chain
           directly (list scheduling + column packing, column-packed
@@ -39,31 +42,7 @@ val default_options : options
 val options_to_flags : options -> string
 (** Render as [synth] command-line flags, for reproducer corpus entries. *)
 
-type budgets = {
-  stage_seconds : float;
-      (** Wall-clock budget per stage. {b Advisory}: the driver measures
-          each stage {e after it returns} and merely sets
-          {!stage_report.over_budget} post-hoc — a stage stuck in an
-          infinite loop is never preempted in-process. Hard enforcement
-          is the batch layer's job: run the driver under {!Batch.Pool},
-          whose per-job wall-clock watchdog SIGKILLs the worker at its
-          deadline (verdict [Timeout]). *)
-  sim_runs : int;  (** Fuel for the random-equivalence stage. *)
-}
-
-val default_budgets : budgets
-
 type via = Primary | Fallback of string
-
-type stage_report = {
-  stage : string;
-  seconds : float;
-  over_budget : bool;
-      (** Post-hoc record that [seconds] exceeded
-          {!budgets.stage_seconds}; nothing was interrupted. See the
-          advisory note on {!budgets}. *)
-  note : string;
-}
 
 type outcome = {
   schedule : Core.Schedule.t option;
@@ -74,15 +53,12 @@ type outcome = {
   violations : Diag.t list;
       (** Internal diagnostics and invariant breaches — the defects. *)
   fault_applied : bool;
-  stages : stage_report list;  (** In execution order. *)
 }
 
-val run :
-  ?fault:Fault.t -> ?budgets:budgets -> ?options:options -> Dfg.Graph.t ->
-  outcome
-(** Drive one graph through the pipeline. Never raises by design; the
-    fuzz layer still guards against escapes and classifies them as
-    crashes. *)
+val run : ?fault:Fault.t -> ?options:options -> Dfg.Graph.t -> outcome
+(** Drive one graph through the pipeline; the simulation stages draw 5
+    random input vectors each. Never raises by design; the fuzz layer
+    still guards against escapes and classifies them as crashes. *)
 
 val colbind_datapath :
   Celllib.Library.t -> Core.Config.t -> Dfg.Graph.t -> Core.Schedule.t ->

@@ -39,11 +39,11 @@ type verdict =
   | Skipped  (** Fault injection not applicable to this case. *)
   | Failed of string * string  (** Classification key, human detail. *)
 
-let run_case ?fault ~budgets case =
+let run_case ?fault case =
   match graph_of_case case with
   | Error d -> Failed ("crash:invalid-case", Diag.message d)
   | Ok g -> (
-      match Driver.run ?fault ~budgets ~options:case.options g with
+      match Driver.run ?fault ~options:case.options g with
       | exception e -> Failed ("crash:" ^ exn_key e, Printexc.to_string e)
       | o -> (
           match o.Driver.violations with
@@ -278,14 +278,14 @@ type classified =
   | C_skipped
   | C_failed of failure
 
-let execute ?fault ?(budgets = Driver.default_budgets) ?corpus_dir g =
+let execute ?fault ?corpus_dir g =
   match g.g_case with
   | Error d ->
       C_failed
         { f_kind = "crash:generator"; f_seed = g.g_seed;
           f_detail = Diag.to_string d; f_size = 0; f_file = None }
   | Ok case -> (
-      match run_case ?fault ~budgets case with
+      match run_case ?fault case with
       | Clean o ->
           C_clean
             {
@@ -297,7 +297,7 @@ let execute ?fault ?(budgets = Driver.default_budgets) ?corpus_dir g =
       | Skipped -> C_skipped
       | Failed (kind, detail) ->
           let oracle c =
-            match run_case ?fault ~budgets c with
+            match run_case ?fault c with
             | Failed (k, _) -> String.equal k kind
             | _ -> false
           in
@@ -344,12 +344,12 @@ let report_of_classified classified =
     failures = List.rev !failures;
   }
 
-let campaign ?fault ?(budgets = Driver.default_budgets) ?corpus_dir
-    ?(max_ops = 12) ?(log = fun (_ : string) -> ()) ~runs ~seed () =
+let campaign ?fault ?corpus_dir ?(max_ops = 12)
+    ?(log = fun (_ : string) -> ()) ~runs ~seed () =
   let classified =
     List.map
       (fun g ->
-        let c = execute ?fault ~budgets ?corpus_dir g in
+        let c = execute ?fault ?corpus_dir g in
         (match c with
         | C_stopped code ->
             log

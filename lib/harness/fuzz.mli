@@ -28,7 +28,7 @@ type verdict =
   | Skipped  (** Fault injection not applicable to this case. *)
   | Failed of string * string  (** Classification key, human detail. *)
 
-val run_case : ?fault:Fault.t -> budgets:Driver.budgets -> case -> verdict
+val run_case : ?fault:Fault.t -> case -> verdict
 
 val shrink :
   oracle:(case -> bool) -> max_attempts:int -> case -> case
@@ -83,17 +83,14 @@ type classified =
   | C_skipped
   | C_failed of failure
 
-val execute :
-  ?fault:Fault.t -> ?budgets:Driver.budgets -> ?corpus_dir:string ->
-  generated -> classified
+val execute : ?fault:Fault.t -> ?corpus_dir:string -> generated -> classified
 (** Run, classify, shrink failures, write the corpus reproducer. *)
 
 val report_of_classified : classified list -> report
 (** Fold in run order; [runs] is the list length. *)
 
 val campaign :
-  ?fault:Fault.t -> ?budgets:Driver.budgets -> ?corpus_dir:string ->
-  ?max_ops:int -> ?log:(string -> unit) -> runs:int -> seed:int -> unit ->
-  report
+  ?fault:Fault.t -> ?corpus_dir:string -> ?max_ops:int ->
+  ?log:(string -> unit) -> runs:int -> seed:int -> unit -> report
 
 val render_report : report -> string

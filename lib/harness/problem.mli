@@ -3,7 +3,8 @@
     {!Driver}, the explore lattice and the serve daemon).
 
     MFS, MFSA and the baseline engines are algorithms over this value;
-    each front end keeps its own stage order and engine choice. *)
+    {!Flow} is the one place that picks the engine call for a constraint
+    and runs the audits with the problem's settings. *)
 
 type library_variant = Default | Two_cycle | Pipelined
 (** The NCR library restricted to the graph's operation kinds, and its
@@ -47,6 +48,6 @@ val colbind_datapath :
 (** Column-packed binding: every (kind, column) pair of the schedule's FU
     columns becomes one single-function ALU instance, and memory accesses
     go to their bank's ports. The MFSA fallback of {!Driver}, and how
-    the MFS and list schedules are priced (with {!Rtl.Cost.of_datapath}).
+    {!Flow.synthesize} binds the MFS and list schedules.
     A binding {!Rtl.Datapath.elaborate} rejects is its internal
     [datapath.invalid] error. *)

@@ -257,8 +257,6 @@ let rtl_catches_skew_delay () =
 
 (* --- Every injection mode is caught by a static pass ------------------ *)
 
-let budgets = { Harness.Driver.stage_seconds = 30.0; sim_runs = 2 }
-
 let driver_faults_statically_detected () =
   let g = Workloads.Classic.diffeq () in
   let is_lint d =
@@ -267,7 +265,7 @@ let driver_faults_statically_detected () =
   List.iter
     (fun fault ->
       let name = Harness.Fault.to_string fault in
-      let o = Harness.Driver.run ~fault ~budgets g in
+      let o = Harness.Driver.run ~fault g in
       Alcotest.(check bool) (name ^ ": fault applied") true
         o.Harness.Driver.fault_applied;
       Alcotest.(check bool) (name ^ ": caught by a lint.* pass") true
@@ -277,7 +275,7 @@ let driver_faults_statically_detected () =
 (* --- No false positives on random DAGs -------------------------------- *)
 
 let lint_clean_prop g =
-  let o = Harness.Driver.run ~budgets g in
+  let o = Harness.Driver.run g in
   (match o.Harness.Driver.stopped with
   | Some d -> not (Diag.is_bug d)
   | None -> true)

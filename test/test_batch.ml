@@ -1,7 +1,5 @@
 let test name f = Alcotest.test_case name `Quick f
 
-let budgets = { Harness.Driver.stage_seconds = 30.0; sim_runs = 4 }
-
 let tmp_path name =
   let dir = Filename.get_temp_dir_name () in
   Filename.concat dir
@@ -249,14 +247,14 @@ let pool_containment () =
             (Batch.Verdict.describe v))
     o.Batch.Pool.records
 
-(* Satellite: Driver.over_budget is advisory; an in-stage hang is only
-   stopped by the pool's hard watchdog. *)
+(* The driver sets no time limit: an in-stage hang is only stopped by the
+   pool's hard watchdog. *)
 let driver_hang_is_killed_by_watchdog () =
   let job =
     Batch.Pool.job ~id:"driver-hang" ~seed:0 ~descr:"driver under hang fault"
       (fun () ->
         let g = Workloads.Classic.diffeq () in
-        let o = Harness.Driver.run ~fault:Harness.Fault.Hang ~budgets g in
+        let o = Harness.Driver.run ~fault:Harness.Fault.Hang g in
         (* Unreachable: the hang spins inside a stage forever. *)
         ignore o;
         Ok "{}")
@@ -336,9 +334,25 @@ let resume_after_sigkill () =
            ~deadline:20.0 jobs);
       Unix._exit 0
   | pid ->
-      Unix.sleepf 0.5;
-      Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid));
+      (* Kill as soon as a job is journalled, not after a fixed sleep that
+         a slow machine may spend before journalling anything. *)
+      let kill () =
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      in
+      let give_up = Unix.gettimeofday () +. 10.0 in
+      let rec await () =
+        match Batch.Journal.load journal with
+        | Ok (_ :: _) -> kill ()
+        | _ when Unix.gettimeofday () > give_up ->
+            kill ();
+            Alcotest.fail
+              "watchdog: the pool journalled no job within 10 s of its start"
+        | _ ->
+            Unix.sleepf 0.01;
+            await ()
+      in
+      await ());
   let survivors =
     match Batch.Journal.load journal with
     | Ok rs -> rs
@@ -450,10 +464,10 @@ let orphaned_worker_exits () =
    the sequential campaign and a 3-worker pool produce the same report. *)
 let pooled_fuzz_matches_sequential () =
   let runs = 15 and seed = 3 in
-  let sequential = Harness.Fuzz.campaign ~budgets ~runs ~seed () in
+  let sequential = Harness.Fuzz.campaign ~runs ~seed () in
   let generated = Harness.Fuzz.cases ~runs ~seed () in
   let pool_jobs =
-    Batch.Jobs.fuzz_jobs ~budgets ~campaign_seed:seed generated
+    Batch.Jobs.fuzz_jobs ~campaign_seed:seed generated
   in
   let o =
     check_run

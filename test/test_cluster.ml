@@ -222,11 +222,8 @@ let wire_manifest_roundtrip () =
     | Ok (Some e) -> e
     | _ -> Alcotest.fail "parse_line"
   in
-  let budgets =
-    { Harness.Driver.default_budgets with Harness.Driver.stage_seconds = 2.0 }
-  in
-  let job = Batch.Jobs.of_entry ~budgets ~seed:7 entry in
-  let wire = Wire.of_entry ~stage_seconds:2.0 ~seed:7 entry in
+  let job = Batch.Jobs.of_entry ~seed:7 entry in
+  let wire = Wire.of_entry ~seed:7 entry in
   match Wire.to_job wire with
   | Error d -> Alcotest.fail (Diag.to_string d)
   | Ok rebuilt ->
@@ -484,7 +481,6 @@ let chaos_small_cluster () =
       Chaos.workers = 2;
       jobs = 5;
       deadline = 3.0;
-      stage_seconds = 1.0;
       kill_worker = true;
       duplicate = true;
     }

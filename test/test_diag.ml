@@ -64,18 +64,25 @@ let with_file_keeps_existing () =
 (* No [failwith], [invalid_arg]-free error paths or [exit] may be reachable
    from library code: every failure must surface as a [Diag.t] (or, for
    programmer errors on static data, [Invalid_argument]). The lint reads
-   the library sources and rejects the banned calls outside comments. *)
-let lib_sources ?(suffix = ".ml") () =
+   the library sources and rejects the banned calls outside comments.
+
+   The lints read the sources from the build tree (the test stanza
+   declares them as deps): the files under [dirs], relative to the
+   workspace root, whose name ends in one of [suffixes]. *)
+let source_files ~suffixes dirs =
   let rec walk acc dir =
     Array.fold_left
       (fun acc entry ->
         let path = Filename.concat dir entry in
-        if Sys.is_directory path then walk acc path
-        else if Filename.check_suffix entry suffix then path :: acc
+        if entry.[0] = '.' then acc
+        else if Sys.is_directory path then walk acc path
+        else if List.exists (Filename.check_suffix entry) suffixes then
+          path :: acc
         else acc)
       acc (Sys.readdir dir)
   in
-  walk [] "../lib"
+  List.sort compare
+    (List.concat_map (fun d -> walk [] (Filename.concat ".." d)) dirs)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -157,7 +164,7 @@ let no_failwith_in_lib () =
              || contains_word ~word:"exit" line then
             offenders := Printf.sprintf "%s:%d" path (lineno + 1) :: !offenders)
         (String.split_on_char '\n' cleaned))
-    (lib_sources ());
+    (source_files ~suffixes:[ ".ml" ] [ "lib" ]);
   Alcotest.(check (list string)) "no failwith/exit in lib sources" []
     !offenders
 
@@ -208,7 +215,7 @@ let string_results () =
         | [] -> List.rev acc
       in
       go None [] toks)
-    (List.sort compare (lib_sources ~suffix:".mli" ()))
+    (source_files ~suffixes:[ ".mli" ] [ "lib" ])
 
 let only_allowlisted_string_results () =
   let show (f, v) = f ^ ":" ^ v in
@@ -218,6 +225,96 @@ let only_allowlisted_string_results () =
     (outside found string_results_allowed);
   Alcotest.(check (list string)) "allowlisted but gone" []
     (outside string_results_allowed found)
+
+(* --- "Lives once" lints ----------------------------------------------------
+
+   Each shared concept has one home; a copy elsewhere drifts from the
+   fixes made to it. *)
+
+(* [file:line:text] for every line of [files] that [re] matches, the path
+   relative to the workspace root, as [grep -rn] prints it. *)
+let grep ?(clean = Fun.id) re files =
+  List.concat_map
+    (fun path ->
+      let rel = String.sub path 3 (String.length path - 3) in
+      List.concat
+        (List.mapi
+           (fun i line ->
+             match Str.search_forward re line 0 with
+             | _ -> [ Printf.sprintf "%s:%d:%s" rel (i + 1) line ]
+             | exception Not_found -> [])
+           (String.split_on_char '\n' (clean (read_file path)))))
+    files
+
+let outside homes hits =
+  List.filter
+    (fun h ->
+      not
+        (List.exists (fun home -> String.starts_with ~prefix:(home ^ ":") h)
+           homes))
+    hits
+
+(* The engine call for an engine and a constraint, the column binding of
+   the engines that only schedule, and the audits with the problem's
+   latency, mutex sharing, delays and widths live in Harness.Flow; a
+   front end that calls them itself can pick the wrong regime, e.g. bind
+   with time-constrained MFSA under --limit caps. Calls only: comments
+   and strings are blanked. *)
+let flow_lives_once () =
+  let calls =
+    Str.regexp
+      "\\(Core\\.Mfsa\\.\\(run\\|run_resource\\)\
+       \\|Baselines\\.List_sched\\.\\(time\\|resource\\)\
+       \\|Rtl\\.Check\\.datapath\
+       \\|Analysis\\.Runner\\.\\(pre\\|pre_timed\\|post_rtl\\)\
+       \\|Sim\\.Equiv\\.\\(check_random\\|check_narrowing\\)\\)\\b"
+  in
+  let files =
+    source_files ~suffixes:[ ".ml" ]
+      [ "bin"; "lib/harness"; "lib/explore"; "lib/serve"; "lib/batch";
+        "lib/cluster" ]
+  in
+  Alcotest.(check (list string)) "engine or audit called outside Flow" []
+    (outside [ "lib/harness/flow.ml" ]
+       (grep ~clean:strip_comments_and_strings calls files))
+
+(* The cell-library variant, the Core.Config derivation and the
+   width-scaled node delays are built by Harness.Problem alone; a front
+   end that rebuilds them drifts from the other front ends (and from the
+   explore/serve cache key). Raw text, comments included, over every
+   .ml and .mli of the front ends (their directories hold nothing else
+   but dune files). *)
+let problem_setup_lives_once () =
+  let setup =
+    Str.regexp
+      "Celllib\\.Ncr\\.\\(for_graph\\|two_cycle_multiplier\
+       \\|pipelined_multiplier\\)\
+       \\|Core\\.Config\\.of_library\\|Analysis\\.Ranges\\.node_delays"
+  in
+  let files =
+    source_files ~suffixes:[ ".ml"; ".mli" ]
+      [ "bin"; "lib/batch"; "lib/cluster"; "lib/explore"; "lib/harness";
+        "lib/serve" ]
+  in
+  Alcotest.(check (list string))
+    "problem setup duplicated outside lib/harness/problem.ml" []
+    (outside [ "lib/harness/problem.ml" ] (grep setup files))
+
+(* The fsynced JSONL store and the write loop live in Batch.Jsonl, the
+   listener and its accept loop in Serve.Endpoint, and forked workers in
+   Batch.Pool (Cluster.Chaos forks long-lived workers of its own). A copy
+   elsewhere misses the fixes made to these: the torn-tail cut, the
+   append lock, the refusal to replace a non-socket file. Raw text over
+   every library implementation. *)
+let crash_only_primitives_live_once () =
+  let files = source_files ~suffixes:[ ".ml" ] [ "lib" ] in
+  let found homes re = outside homes (grep (Str.regexp re) files) in
+  Alcotest.(check (list string))
+    "crash-only primitive duplicated outside its home" []
+    (found [ "lib/batch/jsonl.ml" ]
+       "O_APPEND\\|Unix\\.\\(fsync\\|write\\|write_substring\\)\\b"
+    @ found [ "lib/serve/endpoint.ml" ] "Unix\\.\\(bind\\|accept\\)\\b"
+    @ found [ "lib/batch/pool.ml"; "lib/cluster/chaos.ml" ] "Unix\\.fork\\b")
 
 let suite =
   [
@@ -230,4 +327,9 @@ let suite =
     test "lint: no failwith/exit reachable from lib/" no_failwith_in_lib;
     test "lint: string errors only in the allowlisted interfaces"
       only_allowlisted_string_results;
+    test "lint: engines and audits are called only by Harness.Flow"
+      flow_lives_once;
+    test "lint: problem setup lives once" problem_setup_lives_once;
+    test "lint: crash-only primitives live once"
+      crash_only_primitives_live_once;
   ]

@@ -261,6 +261,80 @@ let evaluate_reports_infeasible () =
   let d = Helpers.check_err "evaluate" (Lattice.evaluate ~graph:g p) in
   Alcotest.(check int) "infeasible exit" 4 (Diag.exit_code d)
 
+(* Every point's evaluation, pinned: csteps, units and the priced areas of
+   a fixed lattice (diffeq over engines, both regimes, libraries and
+   widths; fir4mem over engines and bank ports), one digest per graph and
+   engine. Wall time is left out. A rejection is rendered by its code, so
+   a point that starts or stops failing also changes its digest. On a
+   mismatch the failure prints the whole table, ready to paste. *)
+let pinned_lattices () =
+  let fir4mem =
+    Helpers.check_ok "fir4mem"
+      (Dfg.Parser.parse_file (Helpers.example_file "fir4mem.dfg"))
+  in
+  [
+    ( "diffeq",
+      Workloads.Classic.diffeq (),
+      "engine mfsa mfs list\ncs 0 7\nlimits *=1\n\
+       library default two-cycle pipelined\nwidths off on\n" );
+    ("fir4mem", fir4mem, "engine mfsa mfs list\nports 1 2 declared\n");
+  ]
+
+let render_eval ~graph p =
+  Lattice.descr p ^ " => "
+  ^
+  match Lattice.evaluate ~graph p with
+  | Ok m ->
+      Printf.sprintf "cs=%d units=%d alu=%.17g mux=%.17g reg=%d total=%.17g"
+        m.Lattice.m_csteps m.Lattice.m_units m.Lattice.m_alu m.Lattice.m_mux
+        m.Lattice.m_reg m.Lattice.m_total
+  | Error d -> "error:" ^ d.Diag.code
+
+let evaluations_pinned () =
+  let groups =
+    List.concat_map
+      (fun (name, graph, axes) ->
+        let points = Lattice.expand (spec_of_text ("graph g\n" ^ axes)) in
+        List.map
+          (fun engine ->
+            let lines =
+              List.filter_map
+                (fun (p : Lattice.point) ->
+                  if p.Lattice.engine = engine then Some (render_eval ~graph p)
+                  else None)
+                points
+            in
+            (name ^ "/" ^ Spec.engine_name engine, lines))
+          [ Spec.Mfsa; Spec.Mfs; Spec.List_sched ])
+      (pinned_lattices ())
+  in
+  let actual =
+    List.map
+      (fun (k, lines) ->
+        (k, Digest.to_hex (Digest.string (String.concat "\n" lines))))
+      groups
+  in
+  let expected =
+    [
+      ("diffeq/mfsa", "7198d83fc5977527b278833702423d26");
+      ("diffeq/mfs", "dd04aa87246330b9266ace1c509fe2c0");
+      ("diffeq/list", "db17526ade6205533590b888b317d506");
+      ("fir4mem/mfsa", "af532d9a2dc47f9a3eee0974b780ef65");
+      ("fir4mem/mfs", "55473973a7fe761ae7b3892d3db54a81");
+      ("fir4mem/list", "5ce22031becc6640efb32ccec64da695");
+    ]
+  in
+  if actual <> expected then
+    Alcotest.failf "explore evaluations changed:\n%s\nactual table:\n%s"
+      (String.concat "\n"
+         (List.concat_map
+            (fun (k, lines) ->
+              if List.assoc_opt k expected = List.assoc_opt k actual then []
+              else ("  differs: " ^ k) :: List.map (( ^ ) "    ") lines)
+            groups))
+      (String.concat "\n"
+         (List.map (fun (k, d) -> Printf.sprintf "  (%S, %S);" k d) actual))
+
 (* --- Cache --------------------------------------------------------------- *)
 
 let sample_metrics =
@@ -672,6 +746,7 @@ let suite =
     test "lattice: keys pinned off the default axes" keys_pinned_off_default_axes;
     test "lattice: evaluate solves diffeq" evaluate_solves_diffeq;
     test "lattice: evaluate reports infeasibility" evaluate_reports_infeasible;
+    test "lattice: evaluations pinned" evaluations_pinned;
     test "cache: entries round-trip" entry_roundtrip;
     test "cache: store round-trips, later entries win" cache_store_roundtrip;
     test "cache: torn trailing line dropped" cache_tolerates_torn_tail;

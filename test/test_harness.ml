@@ -1,12 +1,8 @@
 let test name f = Alcotest.test_case name `Quick f
 
-(* Budgets for tests: generous wall clock (we only check the plumbing, not
-   the timer), few simulation runs to keep the suite fast. *)
-let budgets = { Harness.Driver.stage_seconds = 30.0; sim_runs = 4 }
-
 let driver_clean_on_diffeq () =
   let g = Workloads.Classic.diffeq () in
-  let o = Harness.Driver.run ~budgets g in
+  let o = Harness.Driver.run g in
   Alcotest.(check bool) "no violations" true (o.Harness.Driver.violations = []);
   Alcotest.(check bool) "not stopped" true (o.Harness.Driver.stopped = None);
   Alcotest.(check bool) "primary scheduler" true
@@ -14,19 +10,47 @@ let driver_clean_on_diffeq () =
   Alcotest.(check bool) "primary binder" true
     (o.Harness.Driver.bind_via = Some Harness.Driver.Primary);
   Alcotest.(check bool) "schedule produced" true
-    (o.Harness.Driver.schedule <> None);
-  Alcotest.(check bool) "stages reported" true
-    (List.length o.Harness.Driver.stages >= 4)
+    (o.Harness.Driver.schedule <> None)
 
 let driver_stops_on_infeasible () =
   let g = Workloads.Classic.diffeq () in
   let options = { Harness.Driver.default_options with Harness.Driver.cs = 1 } in
-  let o = Harness.Driver.run ~budgets ~options g in
+  let o = Harness.Driver.run ~options g in
   (match o.Harness.Driver.stopped with
   | None -> Alcotest.fail "expected an early stop on cs=1"
   | Some d ->
       Alcotest.(check bool) "stop is not a bug" false (Diag.is_bug d));
   Alcotest.(check bool) "no violations" true (o.Harness.Driver.violations = [])
+
+(* Under unit caps the binder runs under the caps the schedule was made
+   with: diffeq with one multiplier needs 7 steps, which a 3-step budget
+   left in [cs] must not veto. *)
+let driver_binds_under_limits () =
+  let g = Workloads.Classic.diffeq () in
+  let options =
+    { Harness.Driver.default_options with
+      Harness.Driver.cs = 3; limits = [ ("*", 1) ] }
+  in
+  let o = Harness.Driver.run ~options g in
+  Alcotest.(check (option string)) "not stopped" None
+    (Option.map (fun d -> d.Diag.code) o.Harness.Driver.stopped);
+  Alcotest.(check bool) "bound by MFSA" true
+    (o.Harness.Driver.bind_via = Some Harness.Driver.Primary);
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun d -> d.Diag.code) o.Harness.Driver.violations)
+
+let driver_style2_deadlock_under_limits () =
+  let g = Workloads.Classic.diffeq () in
+  let options =
+    { Harness.Driver.default_options with
+      Harness.Driver.style2 = true; limits = [ ("*", 1) ] }
+  in
+  let o = Harness.Driver.run ~options g in
+  Alcotest.(check (option string)) "stopped by the style-2 deadlock"
+    (Some "mfsa.style2-deadlock")
+    (Option.map (fun d -> d.Diag.code) o.Harness.Driver.stopped);
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun d -> d.Diag.code) o.Harness.Driver.violations)
 
 let colbind_fallback_is_valid () =
   (* The MFSA fallback binding must produce a datapath that passes the
@@ -73,7 +97,7 @@ let options_flags_roundtrip () =
 let campaign_clean () =
   (* A bounded campaign without injection: no crashes, no invariant
      violations. Expected infeasibilities are fine. *)
-  let r = Harness.Fuzz.campaign ~budgets ~runs:40 ~seed:0 () in
+  let r = Harness.Fuzz.campaign ~runs:40 ~seed:0 () in
   Alcotest.(check int) "runs" 40 r.Harness.Fuzz.runs;
   Alcotest.(check (list string)) "no failures" []
     (List.map (fun f -> f.Harness.Fuzz.f_kind) r.Harness.Fuzz.failures);
@@ -82,7 +106,7 @@ let campaign_clean () =
 
 let campaign_deterministic () =
   let run () =
-    let r = Harness.Fuzz.campaign ~budgets ~runs:15 ~seed:3 () in
+    let r = Harness.Fuzz.campaign ~runs:15 ~seed:3 () in
     ( r.Harness.Fuzz.clean, r.Harness.Fuzz.infeasible, r.Harness.Fuzz.degraded,
       List.map (fun f -> f.Harness.Fuzz.f_kind) r.Harness.Fuzz.failures )
   in
@@ -95,7 +119,7 @@ let injected_faults_detected () =
   List.iter
     (fun fault ->
       let name = Harness.Fault.to_string fault in
-      let r = Harness.Fuzz.campaign ~fault ~budgets ~runs:25 ~seed:1 () in
+      let r = Harness.Fuzz.campaign ~fault ~runs:25 ~seed:1 () in
       let detected, missed =
         List.partition
           (fun f ->
@@ -159,6 +183,9 @@ let suite =
   [
     test "driver: clean diffeq end to end" driver_clean_on_diffeq;
     test "driver: infeasible budget stops, not a bug" driver_stops_on_infeasible;
+    test "driver: MFSA binds under --limit caps" driver_binds_under_limits;
+    test "driver: style-2 deadlock under caps stops, not a bug"
+      driver_style2_deadlock_under_limits;
     test "driver: colbind fallback datapaths are valid" colbind_fallback_is_valid;
     test "driver: options render as synth flags" options_flags_roundtrip;
     test "fuzz: bounded campaign is clean" campaign_clean;
