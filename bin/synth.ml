@@ -23,6 +23,7 @@
 open Cmdliner
 module Problem = Harness.Problem
 module Flow = Harness.Flow
+module Setting = Harness.Setting
 
 let load_graph = Batch.Manifest.load_graph
 
@@ -63,49 +64,60 @@ let graph_arg =
   let doc = "DFG file or built-in example name." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DFG" ~doc)
 
+(* A job setting's converter: the text form, range rule and printer of
+   Harness.Setting, so the CLI accepts exactly what a manifest, spec,
+   serve request or wire job accepts. *)
+let setting t =
+  let parse s =
+    Option.to_result (Setting.of_string t s)
+      ~none:(`Msg (Printf.sprintf "invalid value '%s', expected %s" s
+                     (Setting.expected t s)))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (Setting.to_string t v))
+
 let cs_arg =
   let doc = "Time budget in control steps (0 = critical path)." in
-  Arg.(value & opt int 0 & info [ "cs"; "steps" ] ~docv:"N" ~doc)
+  Arg.(value & opt (setting Setting.budget) 0 & info [ "cs"; "steps" ] ~docv:"N" ~doc)
 
-let two_cycle_arg =
-  let doc = "Multiplication and division take two control steps." in
-  Arg.(value & flag & info [ "two-cycle-mult" ] ~doc)
-
-let pipelined_arg =
-  let doc =
-    "Run two-cycle multiplications on two-stage pipelined units (structural \
-     pipelining)."
+(* The multiplier model; both flags mean the pipelined unit. *)
+let library_arg =
+  let two_cycle =
+    let doc = "Multiplication and division take two control steps." in
+    Arg.(value & flag & info [ "two-cycle-mult" ] ~doc)
   in
-  Arg.(value & flag & info [ "pipelined-mult" ] ~doc)
+  let pipelined =
+    let doc =
+      "Run two-cycle multiplications on two-stage pipelined units (structural \
+       pipelining)."
+    in
+    Arg.(value & flag & info [ "pipelined-mult" ] ~doc)
+  in
+  Term.(
+    const (fun two_cycle pipelined -> Problem.library_of_flags ~two_cycle ~pipelined)
+    $ two_cycle $ pipelined)
 
 let latency_arg =
   let doc = "Functional-pipelining latency (loop folding)." in
-  Arg.(value & opt (some int) None & info [ "latency" ] ~docv:"L" ~doc)
+  Arg.(value & opt (some (setting Setting.latency)) None
+       & info [ "latency" ] ~docv:"L" ~doc)
 
 let clock_arg =
   let doc = "Clock period in ns; enables operation chaining." in
-  Arg.(value & opt (some float) None & info [ "clock"; "chain" ] ~docv:"NS" ~doc)
+  Arg.(value & opt (some (setting Setting.clock)) None
+       & info [ "clock"; "chain" ] ~docv:"NS" ~doc)
 
 let limits_arg =
   let doc =
     "Resource limits per FU class, e.g. --limit '*=2' --limit '+=1'. With \
      limits, MFS minimises control steps instead of units."
   in
-  let parse s =
-    match String.split_on_char '=' s with
-    | [ c; n ] -> (
-        match int_of_string_opt n with
-        | Some k -> Ok (c, k)
-        | None -> Error (`Msg (s ^ ": expected CLASS=COUNT")))
-    | _ -> Error (`Msg (s ^ ": expected CLASS=COUNT"))
-  in
-  let print ppf (c, k) = Format.fprintf ppf "%s=%d" c k in
-  Arg.(value & opt_all (conv (parse, print)) [] & info [ "limit" ] ~docv:"CLASS=COUNT" ~doc)
+  Arg.(value & opt_all (setting Setting.cap) []
+       & info [ "limit" ] ~docv:"CLASS=COUNT" ~doc)
 
 let style_arg =
   let doc = "RTL design style: 1 = unrestricted, 2 = no ALU self loop." in
   let style_conv =
-    Arg.enum [ ("1", Core.Mfsa.Unrestricted); ("2", Core.Mfsa.No_self_loop) ]
+    Arg.enum (List.map (fun s -> (Setting.(to_string style) s, s)) Setting.styles)
   in
   Arg.(
     value
@@ -155,7 +167,7 @@ let ports_arg =
      binding). Without it, the graph's own 'mem BANK ports N' declarations \
      apply (default 1)."
   in
-  Arg.(value & opt (some int) None & info [ "ports" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (setting Setting.ports)) None & info [ "ports" ] ~docv:"N" ~doc)
 
 let fault_conv =
   let parse s =
@@ -169,6 +181,11 @@ let fault_conv =
   in
   let print ppf f = Format.pp_print_string ppf (Harness.Fault.to_string f) in
   Arg.conv (parse, print)
+
+(* The OCaml-heap ceiling of a --heap-mb flag; 0 disables it. *)
+let heap_words heap_mb =
+  if heap_mb <= 0 then None
+  else Some (heap_mb * 1024 * 1024 / (Sys.word_size / 8))
 
 let fu_string s =
   String.concat ", "
@@ -201,13 +218,9 @@ let show_cmd =
 
 let mfs_cmd =
   let doc = "Move Frame Scheduling (time- or resource-constrained)." in
-  let run spec cs two_cycle pipelined latency clock limits ports cse json =
+  let run spec cs library latency clock limits ports cse json =
     let g = load_input ~json ~cse spec in
-    let p =
-      Problem.make
-        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
-        ?clock ?latency ?ports g
-    in
+    let p = Problem.make ~library ?clock ?latency ?ports g in
     let spec_kind =
       if limits = [] then Core.Mfs.Time { cs = Problem.cs p cs }
       else Core.Mfs.Resource { limits }
@@ -236,21 +249,17 @@ let mfs_cmd =
   in
   Cmd.v (Cmd.info "mfs" ~doc)
     Term.(
-      const run $ graph_arg $ cs_arg $ two_cycle_arg $ pipelined_arg
-      $ latency_arg $ clock_arg $ limits_arg $ ports_arg $ cse_arg $ json_arg)
+      const run $ graph_arg $ cs_arg $ library_arg $ latency_arg $ clock_arg
+      $ limits_arg $ ports_arg $ cse_arg $ json_arg)
 
 (* --- mfsa ------------------------------------------------------------- *)
 
 let mfsa_cmd =
   let doc = "Mixed scheduling-allocation: schedule, bind ALUs/REGs/MUXes." in
-  let run spec cs two_cycle pipelined latency clock ports style verilog
-      simulate cse widths vcd netlist fsm json =
+  let run spec cs library latency clock ports style verilog simulate cse
+      widths vcd netlist fsm json =
     let g = load_input ~json ~cse spec in
-    let p =
-      Problem.make
-        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
-        ?clock ?latency ?ports ~widths g
-    in
+    let p = Problem.make ~library ?clock ?latency ?ports ~widths g in
     let widths = Problem.widths p in
     let d = or_die ~json (Flow.synthesize ~style p Flow.Mfsa (Flow.Time cs)) in
     let dp = d.Flow.datapath in
@@ -311,8 +320,8 @@ let mfsa_cmd =
   in
   Cmd.v (Cmd.info "mfsa" ~doc)
     Term.(
-      const run $ graph_arg $ cs_arg $ two_cycle_arg $ pipelined_arg
-      $ latency_arg $ clock_arg $ ports_arg $ style_arg $ verilog_arg
+      const run $ graph_arg $ cs_arg $ library_arg $ latency_arg $ clock_arg
+      $ ports_arg $ style_arg $ verilog_arg
       $ simulate_arg $ cse_arg $ widths_arg $ vcd_arg $ netlist_arg $ fsm_arg
       $ json_arg)
 
@@ -324,13 +333,9 @@ let csv_arg =
 
 let compare_cmd =
   let doc = "Compare MFS against list scheduling, FDS and annealing." in
-  let run spec cs two_cycle pipelined latency clock limits cse csv json =
+  let run spec cs library latency clock limits cse csv json =
     let g = load_input ~json ~cse spec in
-    let p =
-      Problem.make
-        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
-        ?clock ?latency g
-    in
+    let p = Problem.make ~library ?clock ?latency g in
     let config = p.Problem.config in
     let cs = Problem.cs p cs in
     (* Width-aware area of each scheduler's design, through the same
@@ -360,17 +365,9 @@ let compare_cmd =
     (* The MFS row goes through the harness driver so the table shows
        whether the schedule came from MFS itself or from the degradation
        chain (list scheduling + column packing). *)
+    let constr = Flow.constr ~cs ~limits in
     let options =
-      {
-        Harness.Driver.default_options with
-        Harness.Driver.cs;
-        limits;
-        two_cycle;
-        pipelined;
-        latency;
-        clock;
-        cse = false (* already applied above *);
-      }
+      { Harness.Driver.default_options with constr; library; latency; clock }
     in
     let mfs_row =
       let o = Harness.Driver.run ~options g in
@@ -385,9 +382,7 @@ let compare_cmd =
       | None, None -> row "MFS" ~via (Error (Diag.internal "no schedule"))
     in
     let list_row =
-      row "list"
-        (Result.map fst
-           (Flow.schedule p Flow.List_sched (Flow.constr ~cs ~limits)))
+      row "list" (Result.map fst (Flow.schedule p Flow.List_sched constr))
     in
     let baseline_rows =
       list_row
@@ -422,8 +417,8 @@ let compare_cmd =
   in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(
-      const run $ graph_arg $ cs_arg $ two_cycle_arg $ pipelined_arg
-      $ latency_arg $ clock_arg $ limits_arg $ cse_arg $ csv_arg $ json_arg)
+      const run $ graph_arg $ cs_arg $ library_arg $ latency_arg $ clock_arg
+      $ limits_arg $ cse_arg $ csv_arg $ json_arg)
 
 (* --- fuzz ------------------------------------------------------------- *)
 
@@ -586,10 +581,7 @@ let batch_cmd =
     let pool_jobs =
       List.mapi (fun i e -> Batch.Jobs.of_entry ~seed:i e) entries
     in
-    let heap_words =
-      if heap_mb <= 0 then None
-      else Some (heap_mb * 1024 * 1024 / (Sys.word_size / 8))
-    in
+    let heap_words = heap_words heap_mb in
     let log = if verbose then prerr_endline else fun _ -> () in
     Batch.Pool.install_signal_handlers ();
     let o =
@@ -809,15 +801,11 @@ let lint_cmd =
                  is statically detectable (corrupt-start, corrupt-col, \
                  corrupt-trace, collide-mem, skew-delay).")
   in
-  let run spec cs two_cycle pipelined latency clock limits ports style inject
-      json_out dot_lint cse widths json =
+  let run spec cs library latency clock limits ports style inject json_out
+      dot_lint cse widths json =
     reject_process_fault ~json ~cmd:"lint" ~catcher:"a static pass" inject;
     let g = load_input ~json ~cse spec in
-    let p =
-      Problem.make
-        ~library:(Problem.library_of_flags ~two_cycle ~pipelined)
-        ?clock ?latency ?ports g
-    in
+    let p = Problem.make ~library ?clock ?latency ?ports g in
     let time_mode = limits = [] in
     let cs = Problem.cs p cs in
     let constr = Flow.constr ~cs ~limits in
@@ -935,8 +923,8 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
-      const run $ graph_arg $ cs_arg $ two_cycle_arg $ pipelined_arg
-      $ latency_arg $ clock_arg $ limits_arg $ ports_arg $ style_arg
+      const run $ graph_arg $ cs_arg $ library_arg $ latency_arg $ clock_arg
+      $ limits_arg $ ports_arg $ style_arg
       $ inject_arg $ json_out_arg $ dot_lint_arg $ cse_arg $ widths_arg
       $ json_arg)
 
@@ -1038,10 +1026,7 @@ let serve_cmd =
   let run socket tcp_port jobs deadline heap_mb queue_limit max_conns
       read_timeout drain_timeout cache cache_max journal max_frame verbose
       json =
-    let heap_words =
-      if heap_mb <= 0 then None
-      else Some (heap_mb * 1024 * 1024 / (Sys.word_size / 8))
-    in
+    let heap_words = heap_words heap_mb in
     let cfg =
       {
         (Serve.Daemon.default ~socket) with
@@ -1205,17 +1190,13 @@ let worker_cmd =
       | None ->
           Printf.sprintf "%s-%d" (Unix.gethostname ()) (Unix.getpid ())
     in
-    let heap_words =
-      if heap_mb <= 0 then None
-      else Some (heap_mb * 1024 * 1024 / (Sys.word_size / 8))
-    in
+    let heap_words = heap_words heap_mb in
     Batch.Pool.install_signal_handlers ();
     let cfg =
       {
         (Cluster.Worker.default_config ~endpoint ~name) with
         Cluster.Worker.capacity = jobs;
         heap_words;
-        heap_mb = (if heap_mb <= 0 then None else Some heap_mb);
         heartbeat_interval = heartbeat;
         max_sessions = (if max_reconnects <= 0 then max_int
                         else max_reconnects);

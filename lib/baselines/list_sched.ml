@@ -79,58 +79,78 @@ let finish_schedule cfg g start =
 let empty_graph () =
   Error (Diag.infeasible ~code:"list.empty-graph" "list scheduling: empty graph")
 
+(* A bank's access class never gets more units than the bank has ports:
+   the ports are a hard cap ({!Core.Config.mem_limits}), as in MFS. *)
+let port_cap config g c =
+  Option.value ~default:max_int
+    (List.assoc_opt c (Core.Config.mem_limits config g))
+
+(* [run_rc] would never place an op of a class without a unit. *)
+let without_units units =
+  Option.map
+    (fun (c, u) ->
+      Diag.makef Diag.Infeasible ~code:"list.units"
+        "list scheduling: %d units of %s" u c)
+    (List.find_opt (fun (_, u) -> u < 1) units)
+
 let resource ?(config = Core.Config.default) g ~limits =
   if Dfg.Graph.num_nodes g = 0 then empty_graph ()
-  else begin
-    let bad =
-      List.find_opt (fun (_, u) -> u < 1) limits
+  else
+    let units =
+      List.map
+        (fun c ->
+          let u = Option.value ~default:1 (List.assoc_opt c limits) in
+          (c, min u (port_cap config g c)))
+        (Dfg.Graph.classes g)
     in
-    match bad with
-    | Some (c, u) ->
-        Error
-          (Diag.makef Diag.Infeasible ~code:"list.units"
-             "list scheduling: %d units of %s" u c)
-    | None ->
-        let start = run_rc config g ~units:limits in
-        Ok (finish_schedule config g start)
-  end
+    match without_units (limits @ units) with
+    | Some d -> Error d
+    | None -> Ok (finish_schedule config g (run_rc config g ~units))
 
 let time ?(config = Core.Config.default) g ~cs =
   if Dfg.Graph.num_nodes g = 0 then empty_graph ()
   else
     match Core.Timeframe.bounds config g ~cs with
     | Error _ as e -> e
-    | Ok bounds ->
+    | Ok bounds -> (
         let classes = Dfg.Graph.classes g in
+        let cap = port_cap config g in
         let units = Hashtbl.create 8 in
         List.iter
           (fun (c, n_c) ->
-            Hashtbl.replace units c (max 1 ((n_c + cs - 1) / cs)))
+            Hashtbl.replace units c (min (cap c) (max 1 ((n_c + cs - 1) / cs))))
           (Dfg.Graph.count_by_class g);
-        (* Deferment loop: raise the limit of the class that misses its
-           deadline; each round adds one unit somewhere, so it ends. *)
+        let limit_list () = List.map (fun c -> (c, Hashtbl.find units c)) classes in
+        (* Deferment loop: raise the limit of the first class that misses
+           a deadline and may still grow; each round adds one unit
+           somewhere, so it ends. A late bank access whose ports are all
+           in use is a budget the banks cannot serve. *)
         let rec refine budget =
-          let limit_list =
-            List.map (fun c -> (c, Hashtbl.find units c)) classes
-          in
-          let start = run_rc config g ~units:limit_list in
-          let offender =
-            List.find_opt
+          let start = run_rc config g ~units:(limit_list ()) in
+          let late =
+            List.filter_map
               (fun nd ->
-                start.(nd.Dfg.Graph.id) > bounds.Dfg.Bounds.alap.(nd.Dfg.Graph.id))
+                if start.(nd.Dfg.Graph.id) > bounds.Dfg.Bounds.alap.(nd.Dfg.Graph.id)
+                then Some (Dfg.Graph.node_class g nd)
+                else None)
               (Dfg.Graph.nodes g)
           in
-          match offender with
-          | None -> Ok (finish_schedule config g start)
-          | Some nd ->
-              if budget <= 0 then
-                Error
-                  (Diag.infeasible ~code:"list.deferment"
-                     "list scheduling: deferment budget exhausted")
-              else begin
-                let c = Dfg.Graph.node_class g nd in
-                Hashtbl.replace units c (Hashtbl.find units c + 1);
-                refine (budget - 1)
-              end
+          match (late, List.find_opt (fun c -> Hashtbl.find units c < cap c) late) with
+          | [], _ -> Ok (finish_schedule config g start)
+          | c :: _, None ->
+              Error
+                (Diag.makef Diag.Infeasible ~code:"list.ports"
+                   "list scheduling: %s cannot serve its accesses in %d \
+                    steps with %d port(s)"
+                   c cs (cap c))
+          | _, Some _ when budget <= 0 ->
+              Error
+                (Diag.infeasible ~code:"list.deferment"
+                   "list scheduling: deferment budget exhausted")
+          | _, Some c ->
+              Hashtbl.replace units c (Hashtbl.find units c + 1);
+              refine (budget - 1)
         in
-        refine (Dfg.Graph.num_nodes g + 8)
+        match without_units (limit_list ()) with
+        | Some d -> Error d
+        | None -> refine (Dfg.Graph.num_nodes g + 8))

@@ -7,15 +7,31 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* The fewest significant digits that read back as the same float, whole
+   numbers below 1e17 in full ("83080.0", not "8.308e+04"), always with a
+   '.' or an exponent so the text parses back as a [Float]. No "nan" or
+   "inf" token may escape into JSON: they clamp to 0.0. *)
+let float_text f =
+  if not (Float.is_finite f) then "0.0"
+  else
+    (* Reading back is monotone in the digit count: bisect for the least. *)
+    let rec shortest lo hi =
+      let mid = (lo + hi) / 2 in
+      if lo >= hi then lo
+      else if float_of_string (Printf.sprintf "%.*g" mid f) = f then shortest lo mid
+      else shortest (mid + 1) hi
+    in
+    let p = shortest 1 17 in
+    let whole = if f = 0. then 1 else 1 + int_of_float (Float.log10 (Float.abs f)) in
+    let p = if whole <= 17 then max p whole else p in
+    let s = Printf.sprintf "%.*g" p f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let rec to_string = function
   | Null -> "null"
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
-  | Float f ->
-      (* %h or %g could drop precision or print "inf"; journals only carry
-         timings, so a fixed decimal rendering is enough and stays valid
-         JSON (no "nan"/"inf" tokens escape: clamp them). *)
-      if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
+  | Float f -> float_text f
   | String s -> Diag.json_string s
   | List vs -> "[" ^ String.concat "," (List.map to_string vs) ^ "]"
   | Obj fields ->
@@ -222,6 +238,12 @@ let to_int = function Int i -> Some i | _ -> None
 let to_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
+  | _ -> None
+
+let scalar = function
+  | String s -> Some s
+  | Int i -> Some (string_of_int i)
+  | Float f -> Some (float_text f)
   | _ -> None
 
 let str key v = Option.bind (member key v) to_str

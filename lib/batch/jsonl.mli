@@ -18,7 +18,8 @@ type t =
 
 val to_string : t -> string
 (** Compact one-line rendering (no newlines, ever — one record must stay
-    one journal line). *)
+    one journal line). A [Float] is the shortest decimal that parses back
+    as the same [Float]; non-finite values clamp to [0.0]. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON document; trailing whitespace is allowed, trailing
@@ -42,6 +43,10 @@ val to_str : t -> string option
 val to_int : t -> int option
 val to_float : t -> float option
 (** [to_float] also accepts [Int]. *)
+
+val scalar : t -> string option
+(** A string as is, a number as {!to_string} writes it: the text a job
+    setting's {!Harness.Setting} parser reads. [None] otherwise. *)
 
 val str : string -> t -> string option
 (** [str key obj] = [member key obj |> to_str], and similarly below. *)

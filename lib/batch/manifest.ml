@@ -6,16 +6,11 @@ type entry = {
 }
 
 let descr e =
-  let flags = Harness.Driver.options_to_flags e.e_options in
+  let fault = Option.map (fun f -> "--inject " ^ Harness.Fault.to_string f) e.e_fault in
   String.concat " "
-    (List.filter
-       (fun s -> s <> "")
-       [
-         e.e_spec; flags;
-         (match e.e_fault with
-         | Some f -> "--inject " ^ Harness.Fault.to_string f
-         | None -> "");
-       ])
+    (List.filter (( <> ) "")
+       [ e.e_spec; Harness.Driver.options_to_flags e.e_options;
+         Option.value ~default:"" fault ])
 
 let load_graph spec =
   if Sys.file_exists spec then
@@ -32,79 +27,40 @@ let load_graph spec =
                  ewf, fir16, dct8, ar, tseng, chained, facet, cond)"
                 spec))
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
+let words line =
+  let line =
+    match String.index_opt line '#' with
+    | Some i -> String.sub line 0 i
+    | None -> line
+  in
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun w -> w <> "")
 
 let parse_line ~file ~line text =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Error
-          (Diag.input ~code:"batch.manifest" ~file
-             ~span:(Diag.point ~line ~col:1)
-             msg))
-      fmt
+  let diag msg =
+    Diag.input ~code:"batch.manifest" ~file ~span:(Diag.point ~line ~col:1) msg
   in
-  let words =
-    String.split_on_char ' ' (strip_comment text)
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun w -> w <> "")
+  let fail fmt = Printf.ksprintf (fun msg -> Error (diag msg)) fmt in
+  (* --inject is the manifest's own flag; the rest are the driver's. *)
+  let rec split fault acc = function
+    | "--inject" :: v :: rest -> (
+        match Harness.Fault.of_string v with
+        | Some f -> split (Some f) acc rest
+        | None ->
+            fail "--inject %s: unknown fault (%s)" v
+              (String.concat ", " Harness.Fault.names))
+    | w :: rest -> split fault (w :: acc) rest
+    | [] -> Ok (fault, List.rev acc)
   in
-  match words with
+  match words text with
   | [] -> Ok None
-  | spec :: flags ->
-      let open Harness.Driver in
-      let rec go o fault = function
-        | [] -> Ok (Some { e_line = line; e_spec = spec; e_options = o; e_fault = fault })
-        | "--two-cycle-mult" :: rest -> go { o with two_cycle = true } fault rest
-        | "--pipelined-mult" :: rest -> go { o with pipelined = true } fault rest
-        | "--cse" :: rest -> go { o with cse = true } fault rest
-        | "--widths" :: rest -> go { o with widths = true } fault rest
-        | "--baseline-only" :: rest -> go { o with baseline_only = true } fault rest
-        | "--cs" :: v :: rest | "--steps" :: v :: rest -> (
-            match int_of_string_opt v with
-            | Some n -> go { o with cs = n } fault rest
-            | None -> fail "--cs %s: expected an integer" v)
-        | "--latency" :: v :: rest -> (
-            match int_of_string_opt v with
-            | Some n -> go { o with latency = Some n } fault rest
-            | None -> fail "--latency %s: expected an integer" v)
-        | "--clock" :: v :: rest | "--chain" :: v :: rest -> (
-            match float_of_string_opt v with
-            | Some f -> go { o with clock = Some f } fault rest
-            | None -> fail "--clock %s: expected a number" v)
-        | "--style" :: v :: rest -> (
-            match v with
-            | "1" -> go { o with style2 = false } fault rest
-            | "2" -> go { o with style2 = true } fault rest
-            | _ -> fail "--style %s: expected 1 or 2" v)
-        | "--limit" :: v :: rest -> (
-            (* Accept the CLI's quoting habit: --limit '*=2'. *)
-            let v =
-              let n = String.length v in
-              if n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' then
-                String.sub v 1 (n - 2)
-              else v
-            in
-            match String.split_on_char '=' v with
-            | [ c; k ] -> (
-                match int_of_string_opt k with
-                | Some k -> go { o with limits = o.limits @ [ (c, k) ] } fault rest
-                | None -> fail "--limit %s: expected CLASS=COUNT" v)
-            | _ -> fail "--limit %s: expected CLASS=COUNT" v)
-        | "--inject" :: v :: rest -> (
-            match Harness.Fault.of_string v with
-            | Some f -> go o (Some f) rest
-            | None ->
-                fail "--inject %s: unknown fault (%s)" v
-                  (String.concat ", " Harness.Fault.names))
-        | [ flag ] when String.length flag > 2 && String.sub flag 0 2 = "--" ->
-            fail "%s: missing value" flag
-        | flag :: _ -> fail "%s: unknown manifest flag" flag
-      in
-      go default_options None flags
+  | spec :: words ->
+      Result.bind (split None [] words) (fun (e_fault, flags) ->
+          Result.map
+            (fun e_options ->
+              Some { e_line = line; e_spec = spec; e_options; e_fault })
+            (Harness.Driver.options_of_flags ~fail:diag flags))
 
 let parse_file path =
   if not (Sys.file_exists path) then

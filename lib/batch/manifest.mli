@@ -11,8 +11,9 @@
     built-in example name; the rest are the familiar [synth] option
     flags plus [--inject FAULT] (artifact corruptions {e and} the
     process faults [hang] / [segv] — the latter are what the
-    batch-containment CI job plants). Malformed lines are
-    [batch.manifest] input errors with a file:line span. *)
+    batch-containment CI job plants). Malformed lines and values out of
+    their {!Harness.Setting} range are [batch.manifest] input errors with
+    a file:line span. A {!descr} parses back to the same entry. *)
 
 type entry = {
   e_line : int;  (** 1-based manifest line, for spans and job labels. *)
@@ -29,6 +30,9 @@ val load_graph : string -> (Dfg.Graph.t, Diag.t) result
 (** Resolve a spec the way the CLI does: an existing file is parsed
     ([.beh] through the frontend), otherwise the built-in example of
     that name; unknown specs are an [io.no-such-input] error. *)
+
+val words : string -> string list
+(** The words of a line, split on blanks, up to a ['#'] comment. *)
 
 val parse_line :
   file:string -> line:int -> string -> (entry option, Diag.t) result

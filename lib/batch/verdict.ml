@@ -43,19 +43,29 @@ let signal_name n =
   | Some name -> name
   | None -> Printf.sprintf "signal %d" n
 
-let diag_to_json (d : Diag.t) =
-  Jsonl.Obj
-    [
-      ("code", Jsonl.String d.Diag.code);
-      ("category", Jsonl.String (Diag.category_name d.Diag.category));
-      ("message", Jsonl.String d.Diag.message);
-    ]
+(* The document is Diag.to_json's, valid JSON by construction. *)
+let diag_to_json d = Result.get_ok (Jsonl.parse (Diag.to_json d))
 
+(* An absent severity, file or span defaults, so records written with
+   only code, category and message still load. *)
 let diag_of_json v =
+  let severity =
+    if Jsonl.str "severity" v = Some "warning" then Diag.Warning else Diag.Error
+  in
+  let span =
+    Option.bind (Jsonl.member "span" v) (fun sp ->
+        let at k = Jsonl.int k sp in
+        match (at "line", at "col", at "end_line", at "end_col") with
+        | Some line, Some col, Some end_line, Some end_col ->
+            Some { Diag.line; col; end_line; end_col }
+        | _ -> None)
+  in
   match (Jsonl.str "code" v, Jsonl.str "category" v, Jsonl.str "message" v) with
   | Some code, Some cat, Some message -> (
       match Diag.category_of_name cat with
-      | Some category -> Ok (Diag.make category ~code message)
+      | Some category ->
+          let file = Jsonl.str "file" v in
+          Ok (Diag.make ~severity ?span ?file category ~code message)
       | None -> Error ("unknown diagnostic category " ^ cat))
   | _ -> Error "diag object missing code/category/message"
 

@@ -42,9 +42,12 @@ val signal_name : int -> string
     render as ["signal <n>"]. *)
 
 val diag_to_json : Diag.t -> Jsonl.t
+(** {!Diag.to_json}'s document, all six fields: the one encoding of a
+    diagnostic in the pool pipe, journals, serve and cluster messages. *)
+
 val diag_of_json : Jsonl.t -> (Diag.t, string) result
-(** Diagnostic round-trip (code + category + message) shared with the
-    worker pipe protocol. *)
+(** Its inverse; an absent severity, file or span defaults, so older
+    records with only code, category and message still load. *)
 
 val to_fields : t -> (string * Jsonl.t) list
 (** Journal-record fields: [verdict] plus [payload] / [diag] / [signal]

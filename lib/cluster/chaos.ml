@@ -108,11 +108,24 @@ let manifest_lines cfg =
         "diffeq --cs 4 --inject hang"
       else
         (* Job ids are content digests of the manifest line, so every
-           line must be unique or jobs collapse into one: bump the step
-           budget by how many times this spec has already appeared
-           (looser budgets stay feasible — only tighter ones reject). *)
-        let spec, cs = specs.((cfg.seed + i) mod Array.length specs) in
-        Printf.sprintf "%s --cs %d" spec (cs + (i / Array.length specs)))
+           line must be unique or jobs collapse into one: the budget (or
+           the multiplier cap) grows with how many times this spec has
+           already appeared (looser constraints stay feasible — only
+           tighter ones reject). The lines cycle through every manifest
+           flag shape, so the parity check also proves that each one
+           crosses the wire unchanged. *)
+        let spec, base = specs.((cfg.seed + i) mod Array.length specs) in
+        let round = i / Array.length specs in
+        let cs = base + round in
+        match i mod 8 with
+        | 0 -> Printf.sprintf "%s --cs %d" spec cs
+        | 1 -> Printf.sprintf "%s --limit '*=%d' --limit '+=1'" spec (1 + round)
+        | 2 -> Printf.sprintf "%s --cs %d --style 2" spec cs
+        | 3 -> Printf.sprintf "%s --cs %d --two-cycle-mult" spec (2 * cs)
+        | 4 -> Printf.sprintf "%s --cs %d --clock 100" spec cs
+        | 5 -> Printf.sprintf "%s --cs %d --latency %d" spec cs (max 1 (cs / 2))
+        | 6 -> Printf.sprintf "%s --cs %d --cse" spec cs
+        | _ -> Printf.sprintf "%s --cs %d --widths" spec cs)
 
 let build_jobs cfg =
   let rec go i acc = function
@@ -173,7 +186,7 @@ let fork_slow_loris ~endpoint =
              in
              send
                (Serve.Protocol.register_msg ~worker:"loris" ~capacity:1
-                  ~libraries:[] ());
+                  ~libraries:[]);
              let rec beat () =
                send
                  (Serve.Protocol.heartbeat_msg ~worker:"loris" ~inflight:0);

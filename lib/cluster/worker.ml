@@ -11,7 +11,6 @@ type config = {
   name : string;
   capacity : int;
   heap_words : int option;
-  heap_mb : int option;
   heartbeat_interval : float;
   reconnect : Retry.policy;
   max_sessions : int;
@@ -31,7 +30,6 @@ let default_config ~endpoint ~name =
     name;
     capacity = 1;
     heap_words = None;
-    heap_mb = None;
     heartbeat_interval = 0.5;
     reconnect = Retry.backoff ~max_attempts:6 ~base_delay:0.1 ~max_delay:2.0 ();
     max_sessions = max_int;
@@ -49,7 +47,7 @@ let session cfg ~stop ~pool conn =
   let leases : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
   Conn.send conn
     (P.register_msg ~worker:cfg.name ~capacity:cfg.capacity
-       ?heap_mb:cfg.heap_mb ~libraries:cfg.libraries ());
+       ~libraries:cfg.libraries);
   let send_result ~job ~epoch ~attempt ~seconds verdict =
     let payload = P.result_msg ~job ~epoch ~attempt ~seconds verdict in
     Conn.send conn payload;

@@ -12,7 +12,6 @@ type config = {
   name : string;  (** Cluster-unique; re-registration supersedes. *)
   capacity : int;  (** Concurrent leases (local pool width). *)
   heap_words : int option;  (** Per-job heap ceiling. *)
-  heap_mb : int option;  (** Advertised in the registration. *)
   heartbeat_interval : float;
   reconnect : Batch.Retry.policy;
       (** Dial/redial schedule, shared shape with {!Serve.Client}. *)

@@ -86,17 +86,9 @@ let csv (o : Engine.outcome) =
               ("infeasible:" ^ code, [ ""; ""; ""; ""; ""; "" ])
           | Engine.Failed why -> ("failed:" ^ why, [ ""; ""; ""; ""; ""; "" ])
         in
-        [
-          string_of_int p.Lattice.index;
-          e.Engine.e_key;
-          Spec.engine_name p.Lattice.engine;
-          Spec.library_name p.Lattice.library;
-          Spec.style_name p.Lattice.style;
-          Spec.weights_name p.Lattice.weights;
-          Spec.constraint_name p.Lattice.constr;
-          status;
-        ]
-        @ metric_cells
+        (string_of_int p.Lattice.index :: e.Engine.e_key
+         :: List.map snd (Lattice.settings p))
+        @ (status :: metric_cells)
         @ [
             (if Hashtbl.mem front p.Lattice.index then "yes" else "no");
             source_name e.Engine.e_source;
@@ -164,16 +156,12 @@ let json (o : Engine.outcome) =
         ("index", Batch.Jsonl.Int p.Lattice.index);
         ("key", Batch.Jsonl.String e.Engine.e_key);
         ("descr", Batch.Jsonl.String (Lattice.descr p));
-        ("engine", Batch.Jsonl.String (Spec.engine_name p.Lattice.engine));
-        ("library", Batch.Jsonl.String (Spec.library_name p.Lattice.library));
-        ("style", Batch.Jsonl.String (Spec.style_name p.Lattice.style));
-        ("weights", Batch.Jsonl.String (Spec.weights_name p.Lattice.weights));
-        ( "constraint",
-          Batch.Jsonl.String (Spec.constraint_name p.Lattice.constr) );
-        ( "front",
-          Batch.Jsonl.Bool (Hashtbl.mem front p.Lattice.index) );
-        ("source", Batch.Jsonl.String (source_name e.Engine.e_source));
       ]
+      @ List.map (fun (k, v) -> (k, Batch.Jsonl.String v)) (Lattice.settings p)
+      @ [
+          ("front", Batch.Jsonl.Bool (Hashtbl.mem front p.Lattice.index));
+          ("source", Batch.Jsonl.String (source_name e.Engine.e_source));
+        ]
     in
     let status =
       match e.Engine.e_status with

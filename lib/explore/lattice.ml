@@ -23,23 +23,25 @@ let normalize p =
         style = Core.Mfsa.Unrestricted;
         weights = Core.Mfsa.equal_weights }
 
+module S = Harness.Setting
+
+let settings p =
+  [
+    ("engine", S.to_string S.engine p.engine);
+    ("library", S.to_string S.library p.library);
+    ("style", S.to_string S.style p.style);
+    ("weights", S.to_string S.weights p.weights);
+    ("constraint", S.constraint_name p.constr);
+  ]
+
 let axes_name p =
+  let opt name t = Option.fold ~none:[] ~some:(fun v -> [ name ^ S.to_string t v ]) in
   String.concat " "
-    ([
-       Spec.engine_name p.engine;
-       "lib=" ^ Spec.library_name p.library;
-       "s" ^ Spec.style_name p.style;
-       "w=" ^ Spec.weights_name p.weights;
-       Spec.constraint_name p.constr;
-     ]
+    (List.map2 ( ^ ) [ ""; "lib="; "s"; "w="; "" ] (List.map snd (settings p))
     @ (if p.widths then [ "widths" ] else [])
-    @ (match p.ports with
-      | None -> []
-      | Some n -> [ Printf.sprintf "ports=%d" n ])
-    @ (match p.clock with
-      | None -> []
-      | Some c -> [ Printf.sprintf "clock=%g" c ])
-    @ (if p.cse then [ "cse" ] else []))
+    @ opt "ports=" S.ports p.ports
+    @ opt "clock=" S.clock p.clock
+    @ if p.cse then [ "cse" ] else [])
 
 let descr p =
   axes_name p
@@ -49,55 +51,27 @@ let descr p =
   | Some f -> " +" ^ Harness.Fault.to_string f
 
 let expand (spec : Spec.t) =
+  let ( let* ) axis f = List.concat_map f axis in
+  let points =
+    let* engine = spec.Spec.engines in
+    let* library = spec.Spec.libraries in
+    let* widths = spec.Spec.widths in
+    let* ports = spec.Spec.ports in
+    let* style = spec.Spec.styles in
+    let* weights = spec.Spec.weights in
+    let* constr = spec.Spec.constraints in
+    [ normalize
+        { index = 0; engine; style; weights; constr; library; widths; ports;
+          clock = spec.Spec.clock; cse = spec.Spec.cse; fault = None } ]
+  in
   let seen = Hashtbl.create 64 in
-  let points = ref [] in
-  let n = ref 0 in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun library ->
-          List.iter
-            (fun widths ->
-              List.iter
-                (fun ports ->
-                  List.iter
-                    (fun style ->
-                      List.iter
-                        (fun weights ->
-                          List.iter
-                            (fun constr ->
-                              let p =
-                                normalize
-                                  {
-                                    index = !n;
-                                    engine;
-                                    style;
-                                    weights;
-                                    constr;
-                                    library;
-                                    widths;
-                                    ports;
-                                    clock = spec.Spec.clock;
-                                    cse = spec.Spec.cse;
-                                    fault = None;
-                                  }
-                              in
-                              let key = axes_name p in
-                              if not (Hashtbl.mem seen key) then begin
-                                Hashtbl.add seen key ();
-                                points := { p with index = !n } :: !points;
-                                incr n
-                              end)
-                            spec.Spec.constraints)
-                        spec.Spec.weights)
-                    spec.Spec.styles)
-                spec.Spec.ports)
-            spec.Spec.widths)
-        spec.Spec.libraries)
-    spec.Spec.engines;
-  List.rev_map
-    (fun p -> { p with fault = List.assoc_opt p.index spec.Spec.inject })
-    !points
+  List.filter
+    (fun p ->
+      let key = axes_name p in
+      (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+    points
+  |> List.mapi (fun index p ->
+         { p with index; fault = List.assoc_opt index spec.Spec.inject })
 
 (* The point's synthesis problem: the cache key digests its config, the
    evaluation runs on it. *)
@@ -107,23 +81,19 @@ let problem ~graph p =
 
 (* --- Content-addressed keys --------------------------------------------- *)
 
+(* The derived configuration plus every explore-level axis, as
+   [name=value] sorted by name. *)
 let options_canonical ~graph p =
-  String.concat ";"
-    [
-      "config="
-      ^ Core.Config.canonical (problem ~graph p).Harness.Problem.config;
-      "constraint=" ^ Spec.constraint_name p.constr;
-      "cse=" ^ string_of_bool p.cse;
-      "engine=" ^ Spec.engine_name p.engine;
-      ( "fault="
-      ^ match p.fault with
-        | None -> "none"
-        | Some f -> Harness.Fault.to_string f );
-      "library=" ^ Spec.library_name p.library;
-      "style=" ^ Spec.style_name p.style;
-      "weights=" ^ Spec.weights_name p.weights;
-      "widths=" ^ string_of_bool p.widths;
-    ]
+  let config = (problem ~graph p).Harness.Problem.config in
+  let fault = Option.fold ~none:"none" ~some:Harness.Fault.to_string p.fault in
+  List.sort compare
+    (("config", Core.Config.canonical config)
+    :: ("cse", string_of_bool p.cse)
+    :: ("fault", fault)
+    :: ("widths", string_of_bool p.widths)
+    :: settings p)
+  |> List.map (fun (k, v) -> k ^ "=" ^ v)
+  |> String.concat ";"
 
 let key ~graph p =
   Batch.Jobs.digest
@@ -209,34 +179,25 @@ let job ~graph p =
 
 module J = Batch.Jsonl
 
-let style_of_int = function
-  | 1 -> Some Core.Mfsa.Unrestricted
-  | 2 -> Some Core.Mfsa.No_self_loop
-  | _ -> None
-
-let style_to_int = function
-  | Core.Mfsa.Unrestricted -> 1
-  | Core.Mfsa.No_self_loop -> 2
-
+(* Every setting travels in its text form (a number's JSON text for the
+   numeric ones) and is read back by its one rule, so the worker rebuilds
+   exactly the point that was sent. *)
 let point_to_json p =
+  let text t v = J.String (S.to_string t v) in
   J.Obj
     ([
        ("index", J.Int p.index);
-       ("engine", J.String (Spec.engine_name p.engine));
-       ("style", J.Int (style_to_int p.style));
-       ("weights", J.String (Spec.weights_name p.weights));
-       ("library", J.String (Spec.library_name p.library));
+       ("engine", text S.engine p.engine);
+       ("style", text S.style p.style);
+       ("weights", text S.weights p.weights);
+       ("library", text S.library p.library);
        ("widths", J.Bool p.widths);
        ("cse", J.Bool p.cse);
      ]
     @ (match p.ports with None -> [] | Some n -> [ ("ports", J.Int n) ])
     @ (match p.constr with
       | Spec.Time cs -> [ ("cs", J.Int cs) ]
-      | Spec.Resource limits ->
-          [
-            ( "limits",
-              J.Obj (List.map (fun (cls, n) -> (cls, J.Int n)) limits) );
-          ])
+      | Spec.Resource caps -> [ ("limits", text S.caps caps) ])
     @ (match p.clock with None -> [] | Some c -> [ ("clock", J.Float c) ])
     @
     match p.fault with
@@ -245,70 +206,50 @@ let point_to_json p =
 
 let point_of_json doc =
   let ( let* ) = Result.bind in
-  let req name = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "point is missing %S" name)
+  let field t name =
+    let text v = Option.value ~default:"" (J.scalar v) in
+    match Option.map text (J.member name doc) with
+    | None -> Ok None
+    | Some raw ->
+        Option.to_result (Option.map Option.some (S.of_string t raw))
+          ~none:(Printf.sprintf "point field %S = %S: expected %s" name raw
+                   (S.expected t raw))
   in
-  let* index = req "index" (J.int "index" doc) in
-  let* engine =
-    let* name = req "engine" (J.str "engine" doc) in
-    req "engine" (Spec.engine_of_name name)
+  let req t name =
+    let* v = field t name in
+    Option.to_result ~none:(Printf.sprintf "point is missing %S" name) v
   in
-  let* style =
-    let* n = req "style" (J.int "style" doc) in
-    req "style" (style_of_int n)
+  let flag name =
+    match J.member name doc with Some (J.Bool b) -> b | _ -> false
   in
-  let* weights =
-    let* name = req "weights" (J.str "weights" doc) in
-    req "weights" (Spec.weights_of_name name)
+  let* index =
+    Option.to_result ~none:"point is missing \"index\"" (J.int "index" doc)
   in
-  let* library =
-    let* name = req "library" (J.str "library" doc) in
-    req "library" (Spec.library_of_name name)
-  in
+  let* engine = req S.engine "engine" in
+  let* style = req S.style "style" in
+  let* weights = req S.weights "weights" in
+  let* library = req S.library "library" in
+  let* cs = field S.budget "cs" in
+  let* caps = field S.caps "limits" in
   let* constr =
-    match (J.int "cs" doc, J.member "limits" doc) with
+    match (cs, caps) with
     | Some cs, None -> Ok (Spec.Time cs)
-    | None, Some (J.Obj fields) ->
-        let rec go acc = function
-          | [] -> Ok (Spec.Resource (List.rev acc))
-          | (cls, J.Int n) :: rest when n > 0 -> go ((cls, n) :: acc) rest
-          | (cls, _) :: _ ->
-              Error (Printf.sprintf "bad limit for class %S" cls)
-        in
-        go [] fields
+    | None, Some caps -> Ok (Spec.Resource caps)
     | _ -> Error "point needs exactly one of cs / limits"
   in
-  let widths =
-    match J.member "widths" doc with Some (J.Bool b) -> b | _ -> false
-  in
-  let cse =
-    match J.member "cse" doc with Some (J.Bool b) -> b | _ -> false
-  in
-  let ports = J.int "ports" doc in
-  let clock = J.float "clock" doc in
+  let* ports = field S.ports "ports" in
+  let* clock = field S.clock "clock" in
   let* fault =
     match J.str "fault" doc with
     | None -> Ok None
-    | Some name -> (
-        match Harness.Fault.of_string name with
-        | Some f -> Ok (Some f)
-        | None -> Error (Printf.sprintf "unknown fault %S" name))
+    | Some name ->
+        Option.to_result ~none:(Printf.sprintf "unknown fault %S" name)
+          (Option.map Option.some (Harness.Fault.of_string name))
   in
+  let widths = flag "widths" and cse = flag "cse" in
   Ok
-    {
-      index;
-      engine;
-      style;
-      weights;
-      constr;
-      library;
-      widths;
-      ports;
-      clock;
-      cse;
-      fault;
-    }
+    { index; engine; style; weights; constr; library; widths; ports; clock;
+      cse; fault }
 
 let wire ~graph p =
   J.Obj

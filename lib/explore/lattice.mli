@@ -29,17 +29,18 @@ val expand : Spec.t -> point list
 val descr : point -> string
 (** Human label, e.g. ["mfsa lib=default s2 w=1/1/1/20 T=17"]. *)
 
-val options_canonical : graph:Dfg.Graph.t -> point -> string
-(** Canonical full option vector: the derived {!Core.Config.canonical}
-    plus every explore-level axis value as [name=value] in sorted-by-name
-    order. *)
+val settings : point -> (string * string) list
+(** The axes that name a point — engine, library, style, weights,
+    constraint — in their {!Harness.Setting} text forms: the key's
+    option vector and the report columns. *)
 
 val key : graph:Dfg.Graph.t -> point -> string
 (** Content-addressed identity — the stable hex digest of the
-    canonicalized DFG ({!Dfg.Parser.to_source}) and
-    {!options_canonical}. Used as the {!Cache} key {e and} the pool/job
-    journal id, so a resumed or repeated sweep recognizes completed
-    points under either store. *)
+    canonicalized DFG ({!Dfg.Parser.to_source}) and the canonical option
+    vector: {!Core.Config.canonical} plus every explore-level axis as
+    [name=value], sorted by name. Used as the {!Cache} key {e and} the
+    pool/job journal id, so a resumed or repeated sweep recognizes
+    completed points under either store. *)
 
 (** {2 Metrics} *)
 
@@ -90,7 +91,12 @@ val job : graph:Dfg.Graph.t -> point -> Batch.Pool.job
     which round-trips through {!Dfg.Parser.to_source}). *)
 
 val point_to_json : point -> Batch.Jsonl.t
+(** Every setting in its {!Harness.Setting} text form, numbers as
+    {!Batch.Jsonl} writes them: both read back exactly. *)
+
 val point_of_json : Batch.Jsonl.t -> (point, string) result
+(** [point_of_json (point_to_json p) = Ok p]; each setting is parsed by
+    its {!Harness.Setting}, so an out-of-range one is an error. *)
 
 val wire : graph:Dfg.Graph.t -> point -> Batch.Jsonl.t
 (** [{"family":"explore","graph":SOURCE,"point":{…}}] — the lease

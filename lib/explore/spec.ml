@@ -36,86 +36,10 @@ let default ~graph =
     inject = [];
   }
 
-let engine_name = function
-  | Mfsa -> "mfsa"
-  | Mfs -> "mfs"
-  | List_sched -> "list"
-
-let engine_of_name = function
-  | "mfsa" -> Some Mfsa
-  | "mfs" -> Some Mfs
-  | "list" -> Some List_sched
-  | _ -> None
-
-let library_name = function
-  | Default -> "default"
-  | Two_cycle -> "two-cycle"
-  | Pipelined -> "pipelined"
-
-let library_of_name = function
-  | "default" -> Some Default
-  | "two-cycle" -> Some Two_cycle
-  | "pipelined" -> Some Pipelined
-  | _ -> None
-
-let style_name = function
-  | Core.Mfsa.Unrestricted -> "1"
-  | Core.Mfsa.No_self_loop -> "2"
-
-let float_repr f = Printf.sprintf "%.12g" f
-
-let weights_name (w : Core.Mfsa.weights) =
-  Printf.sprintf "%s/%s/%s/%s" (float_repr w.Core.Mfsa.w_time)
-    (float_repr w.Core.Mfsa.w_alu) (float_repr w.Core.Mfsa.w_mux)
-    (float_repr w.Core.Mfsa.w_reg)
-
-let weights_of_name s =
-  match List.map float_of_string_opt (String.split_on_char '/' s) with
-  | [ Some w_time; Some w_alu; Some w_mux; Some w_reg ]
-    when List.for_all
-           (fun v -> v >= 0.)
-           [ w_time; w_alu; w_mux; w_reg ] ->
-      Some { Core.Mfsa.w_time; w_alu; w_mux; w_reg }
-  | _ -> None
-
-let limits_of_name s =
-  let parse_one part =
-    match String.split_on_char '=' part with
-    | [ c; n ] when c <> "" -> (
-        match int_of_string_opt n with
-        | Some k when k >= 0 -> Some (c, k)
-        | _ -> None)
-    | _ -> None
-  in
-  let parts = String.split_on_char ',' s in
-  let parsed = List.map parse_one parts in
-  if List.exists (( = ) None) parsed then None
-  else Some (List.filter_map Fun.id parsed)
-
-let constraint_name = function
-  | Time cs -> Printf.sprintf "T=%d" cs
-  | Resource limits ->
-      "R{"
-      ^ String.concat ","
-          (List.map
-             (fun (c, k) -> Printf.sprintf "%s=%d" c k)
-             (List.sort compare limits))
-      ^ "}"
-
 (* --- Spec files --------------------------------------------------------- *)
 
 let err ~file ~line code msg =
   Error (Diag.input ~file ~span:(Diag.point ~line ~col:1) ~code msg)
-
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with
-  | None -> line
-  | Some i -> String.sub line 0 i
 
 (* One directive per line; later lines of the same directive extend the
    axis. Unknown directives and malformed values are [explore.spec]
@@ -128,40 +52,34 @@ let parse_line ~file ~line acc text =
     | Some (raw, _) -> fail (Printf.sprintf "%s: malformed %s" raw what)
     | None -> k (List.filter_map Fun.id parsed)
   in
-  match tokens (strip_comment text) with
+  let axis what t = map_values ~what (Harness.Setting.of_string t) in
+  match Batch.Manifest.words text with
   | [] -> Ok acc
   | "graph" :: [ g ] -> Ok { acc with graph = g }
   | "graph" :: _ -> fail "graph: expected exactly one DFG file or builtin name"
   | "engine" :: (_ :: _ as vs) ->
-      map_values ~what:"engine (mfsa, mfs, list)" engine_of_name vs (fun es ->
+      axis "engine (mfsa, mfs, list)" Harness.Setting.engine vs (fun es ->
           Ok { acc with engines = acc.engines @ es })
   | "style" :: (_ :: _ as vs) ->
-      map_values ~what:"style (1 or 2)"
-        (function
-          | "1" -> Some Core.Mfsa.Unrestricted
-          | "2" -> Some Core.Mfsa.No_self_loop
-          | _ -> None)
-        vs
-        (fun ss -> Ok { acc with styles = acc.styles @ ss })
+      axis "style (1 or 2)" Harness.Setting.style vs (fun ss ->
+          Ok { acc with styles = acc.styles @ ss })
   | "weights" :: (_ :: _ as vs) ->
-      map_values ~what:"weight vector (T/ALU/MUX/REG, e.g. 1/1/1/20)"
-        weights_of_name vs (fun ws ->
+      axis "weight vector (T/ALU/MUX/REG, e.g. 1/1/1/20)"
+        Harness.Setting.weights vs (fun ws ->
           Ok { acc with weights = acc.weights @ ws })
   | "cs" :: (_ :: _ as vs) ->
-      map_values ~what:"control-step budget" int_of_string_opt vs (fun cs ->
-          Ok
-            { acc with
-              constraints = acc.constraints @ List.map (fun c -> Time c) cs })
+      axis "control-step budget (an integer >= 0)" Harness.Setting.budget vs
+        (fun cs ->
+          let cs = List.map (fun c -> Time c) cs in
+          Ok { acc with constraints = acc.constraints @ cs })
   | "limits" :: (_ :: _ as vs) ->
-      map_values ~what:"resource limits (CLASS=COUNT[,CLASS=COUNT...])"
-        limits_of_name vs (fun ls ->
-          Ok
-            { acc with
-              constraints =
-                acc.constraints @ List.map (fun l -> Resource l) ls })
+      axis "resource limits (CLASS=COUNT[,CLASS=COUNT...], counts >= 1)"
+        Harness.Setting.caps vs (fun ls ->
+          let ls = List.map (fun l -> Resource l) ls in
+          Ok { acc with constraints = acc.constraints @ ls })
   | "library" :: (_ :: _ as vs) ->
-      map_values ~what:"library variant (default, two-cycle, pipelined)"
-        library_of_name vs (fun ls ->
+      axis "library variant (default, two-cycle, pipelined)"
+        Harness.Setting.library vs (fun ls ->
           Ok { acc with libraries = acc.libraries @ ls })
   | "widths" :: (_ :: _ as vs) ->
       map_values ~what:"widths switch (on or off)"
@@ -172,16 +90,13 @@ let parse_line ~file ~line acc text =
       map_values ~what:"bank port count (positive int, or 'declared')"
         (function
           | "declared" -> Some None
-          | v -> (
-              match int_of_string_opt v with
-              | Some p when p >= 1 -> Some (Some p)
-              | _ -> None))
+          | v -> Option.map Option.some (Harness.Setting.(of_string ports) v))
         vs
         (fun ps -> Ok { acc with ports = acc.ports @ ps })
   | [ "clock"; v ] -> (
-      match float_of_string_opt v with
-      | Some c when c > 0. -> Ok { acc with clock = Some c }
-      | _ -> fail (v ^ ": malformed clock period (positive ns)"))
+      match Harness.Setting.(of_string clock) v with
+      | Some c -> Ok { acc with clock = Some c }
+      | None -> fail (v ^ ": malformed clock period (positive ns)"))
   | [ "cse" ] -> Ok { acc with cse = true }
   | [ "budget"; v ] -> (
       match int_of_string_opt v with

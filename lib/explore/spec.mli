@@ -23,8 +23,9 @@
 
     Repeated directive lines extend the axis; unset axes collapse to a
     singleton default (engine [mfsa], style 1, equal weights, [cs 0],
-    library [default]). Malformed lines are [explore.spec] input errors
-    with a file:line span. *)
+    library [default]). Malformed lines and values out of their
+    {!Harness.Setting} range are [explore.spec] input errors with a
+    file:line span. *)
 
 type engine = Harness.Flow.engine = Mfsa | Mfs | List_sched
 (** The engine axis ({!Harness.Flow.synthesize}). *)
@@ -66,15 +67,3 @@ val default : graph:string -> t
 
 val parse : file:string -> string -> (t, Diag.t) result
 val load : string -> (t, Diag.t) result
-
-(** Stable axis-value names, shared by parsing, point descriptions and
-    the canonical option vector. *)
-
-val engine_name : engine -> string
-val engine_of_name : string -> engine option
-val library_name : library_variant -> string
-val library_of_name : string -> library_variant option
-val style_name : Core.Mfsa.style -> string
-val weights_name : Core.Mfsa.weights -> string
-val weights_of_name : string -> Core.Mfsa.weights option
-val constraint_name : constraint_ -> string

@@ -1,11 +1,9 @@
 type options = {
-  cs : int;
-  limits : (string * int) list;
-  two_cycle : bool;
-  pipelined : bool;
+  constr : Flow.constr;
+  library : Problem.library_variant;
+  style : Core.Mfsa.style;
   latency : int option;
   clock : float option;
-  style2 : bool;
   cse : bool;
   widths : bool;
   baseline_only : bool;
@@ -13,41 +11,81 @@ type options = {
 
 let default_options =
   {
-    cs = 0;
-    limits = [];
-    two_cycle = false;
-    pipelined = false;
+    constr = Flow.Time 0;
+    library = Problem.Default;
+    style = Core.Mfsa.Unrestricted;
     latency = None;
     clock = None;
-    style2 = false;
     cse = false;
     widths = false;
     baseline_only = false;
   }
 
 let options_to_flags o =
-  let b flag on acc = if on then flag :: acc else acc in
-  []
-  |> b "--baseline-only" o.baseline_only
-  |> b "--widths" o.widths
-  |> b "--cse" o.cse
-  |> b "--two-cycle-mult" o.two_cycle
-  |> b "--pipelined-mult" o.pipelined
-  |> b "--style 2" o.style2
-  |> (fun acc ->
-       match o.clock with
-       | None -> acc
-       | Some c -> Printf.sprintf "--clock %g" c :: acc)
-  |> (fun acc ->
-       match o.latency with
-       | None -> acc
-       | Some l -> Printf.sprintf "--latency %d" l :: acc)
-  |> (fun acc ->
-       List.fold_left
-         (fun acc (c, k) -> Printf.sprintf "--limit '%s=%d'" c k :: acc)
-         acc o.limits)
-  |> (fun acc -> if o.cs > 0 then Printf.sprintf "--cs %d" o.cs :: acc else acc)
-  |> String.concat " "
+  let value flag t v =
+    [ Printf.sprintf "--%s %s" flag (Setting.to_string t v) ]
+  in
+  let on flag b = if b then [ flag ] else [] in
+  String.concat " "
+    ((match o.constr with
+     | Flow.Time 0 -> []
+     | Flow.Time cs -> value "cs" Setting.budget cs
+     | Flow.Resource caps ->
+         List.map (fun c -> "--limit '" ^ Setting.(to_string cap) c ^ "'") caps)
+    @ Option.fold ~none:[] ~some:(value "latency" Setting.latency) o.latency
+    @ Option.fold ~none:[] ~some:(value "clock" Setting.clock) o.clock
+    @ on "--style 2" (o.style = Core.Mfsa.No_self_loop)
+    @ on "--pipelined-mult" (o.library = Problem.Pipelined)
+    @ on "--two-cycle-mult" (o.library = Problem.Two_cycle)
+    @ on "--cse" o.cse @ on "--widths" o.widths
+    @ on "--baseline-only" o.baseline_only)
+
+let options_of_flags ~fail flags =
+  let value flag t v k =
+    match Setting.of_string t v with
+    | Some x -> k x
+    | None ->
+        Error
+          (fail
+             (Printf.sprintf "%s %s: expected %s" flag v (Setting.expected t v)))
+  in
+  let unquote v =
+    let n = String.length v in
+    if n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' then String.sub v 1 (n - 2)
+    else v
+  in
+  let caps o = match o.constr with Flow.Resource l -> l | Flow.Time _ -> [] in
+  (* In any order, the pipelined unit wins over the two-cycle one
+     ({!Problem.library_of_flags}) and caps over a budget ({!Flow.constr}). *)
+  let rec go o = function
+    | [] -> Ok o
+    | "--two-cycle-mult" :: rest ->
+        let pipelined = o.library = Problem.Pipelined in
+        let library = Problem.library_of_flags ~two_cycle:true ~pipelined in
+        go { o with library } rest
+    | "--pipelined-mult" :: rest ->
+        go { o with library = Problem.Pipelined } rest
+    | "--cse" :: rest -> go { o with cse = true } rest
+    | "--widths" :: rest -> go { o with widths = true } rest
+    | "--baseline-only" :: rest -> go { o with baseline_only = true } rest
+    | (("--cs" | "--steps") as flag) :: v :: rest ->
+        value flag Setting.budget v (fun cs ->
+            go { o with constr = Flow.constr ~cs ~limits:(caps o) } rest)
+    | "--limit" :: v :: rest ->
+        value "--limit" Setting.cap (unquote v) (fun c ->
+            go { o with constr = Flow.Resource (caps o @ [ c ]) } rest)
+    | "--latency" :: v :: rest ->
+        value "--latency" Setting.latency v (fun l ->
+            go { o with latency = Some l } rest)
+    | (("--clock" | "--chain") as flag) :: v :: rest ->
+        value flag Setting.clock v (fun c -> go { o with clock = Some c } rest)
+    | "--style" :: v :: rest ->
+        value "--style" Setting.style v (fun style -> go { o with style } rest)
+    | [ flag ] when String.starts_with ~prefix:"--" flag ->
+        Error (fail (flag ^ ": missing value"))
+    | flag :: _ -> Error (fail (flag ^ ": unknown manifest flag"))
+  in
+  go default_options flags
 
 type via = Primary | Fallback of string
 
@@ -89,13 +127,10 @@ let run ?fault ?(options = default_options) g0 =
           g0
   in
   let prob =
-    Problem.make
-      ~library:
-        (Problem.library_of_flags ~two_cycle:options.two_cycle
-           ~pipelined:options.pipelined)
-      ?clock:options.clock ?latency:options.latency ~widths:options.widths g
+    Problem.make ~library:options.library ?clock:options.clock
+      ?latency:options.latency ~widths:options.widths g
   in
-  let constr = Flow.constr ~cs:options.cs ~limits:options.limits in
+  let constr = options.constr in
   (* --- Static pre-gate: DFG lint + feasibility bounds. An error finding on
      the input stops the run before any scheduler time is spent. *)
   match Analysis.Runner.stop_diag (fst (Flow.pre prob constr)) with
@@ -160,10 +195,7 @@ let run ?fault ?(options = default_options) g0 =
       (* --- Bind: MFSA under the same constraint, degrading to the
          schedule's own columns bound as single-function units when MFSA
          hits an internal wall. *)
-      let style =
-        if options.style2 then Core.Mfsa.No_self_loop
-        else Core.Mfsa.Unrestricted
-      in
+      let style = options.style in
       let baseline_bind () =
         Result.map
           (fun dp -> (dp, Fallback "colbind"))
@@ -199,7 +231,11 @@ let run ?fault ?(options = default_options) g0 =
                 | None -> delay)
             | _ -> delay
           in
-          (match Flow.check ~delay:eff_delay ~style2:options.style2 prob dp with
+          (match
+             Flow.check ~delay:eff_delay
+               ~style2:(style = Core.Mfsa.No_self_loop)
+               prob dp
+           with
           | Ok () -> ()
           | Error ds -> List.iter violate ds);
           let ctrl = Rtl.Controller.make dp ~delay in

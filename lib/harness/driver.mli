@@ -14,15 +14,13 @@
     ended by the batch pool's wall-clock watchdog ({!Batch.Pool}). *)
 
 type options = {
-  cs : int;  (** Time budget; [<= 0] means the critical-path minimum. *)
-  limits : (string * int) list;
-      (** Unit caps: MFS and MFSA run resource-constrained when
-          non-empty ({!Flow.constr}). *)
-  two_cycle : bool;
-  pipelined : bool;
+  constr : Flow.constr;
+      (** A step budget ([Time 0] is the critical path), or unit caps:
+          MFS and MFSA then run resource-constrained. *)
+  library : Problem.library_variant;
+  style : Core.Mfsa.style;
   latency : int option;
   clock : float option;
-  style2 : bool;
   cse : bool;
   widths : bool;
       (** Width-aware mode: run [Analysis.Ranges], feed width-scaled
@@ -40,7 +38,19 @@ type options = {
 val default_options : options
 
 val options_to_flags : options -> string
-(** Render as [synth] command-line flags, for reproducer corpus entries. *)
+(** Render as [synth] flags (reproducer headers, manifest lines): the
+    budget or one [--limit 'CLASS=COUNT'] per cap in order, then latency,
+    clock, style, multiplier, [--cse], [--widths], [--baseline-only];
+    values in their {!Setting} text form. *)
+
+val options_of_flags :
+  fail:(string -> Diag.t) -> string list -> (options, Diag.t) result
+(** The inverse over a manifest line's words, in any order; it reads
+    back exactly what {!options_to_flags} prints. [--steps] and [--chain]
+    are aliases, caps win over a [--cs] ({!Flow.constr}) and both
+    multiplier flags mean the pipelined unit. A malformed or
+    out-of-range value, a missing value or an unknown flag is
+    [Error (fail message)]. *)
 
 type via = Primary | Fallback of string
 

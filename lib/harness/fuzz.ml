@@ -87,13 +87,11 @@ let remove_row case name =
 let option_simplifications =
   [
     ("cse", fun o -> { o with Driver.cse = false });
-    ("two_cycle", fun o -> { o with Driver.two_cycle = false });
-    ("pipelined", fun o -> { o with Driver.pipelined = false });
+    ("library", fun o -> { o with Driver.library = Problem.Default });
     ("latency", fun o -> { o with Driver.latency = None });
     ("clock", fun o -> { o with Driver.clock = None });
-    ("style2", fun o -> { o with Driver.style2 = false });
-    ("limits", fun o -> { o with Driver.limits = [] });
-    ("cs", fun o -> { o with Driver.cs = 0 });
+    ("style", fun o -> { o with Driver.style = Core.Mfsa.Unrestricted });
+    ("constr", fun o -> { o with Driver.constr = Flow.Time 0 });
   ]
 
 let shrink ~oracle ~max_attempts case =
@@ -208,22 +206,22 @@ let sample_options rng g =
            (Dfg.Graph.count_by_class g))
     else []
   in
+  (* Drawn from the last field to the first, the order in which the
+     record literal of the earlier untyped options evaluated them, so
+     every seed keeps its campaign. *)
+  let draw n = Workloads.Prng.int rng n in
+  let widths = draw 4 = 0 in
+  let cse = draw 3 = 0 in
+  let style2 = draw 4 = 0 in
+  let clock = match draw 6 with 0 -> Some 100.0 | 1 -> Some 40.0 | _ -> None in
+  let latency = if draw 8 = 0 then Some (2 + draw 3) else None in
+  let pipelined = draw 8 = 0 in
+  let two_cycle = draw 4 = 0 in
   {
-    Driver.cs;
-    limits;
-    two_cycle = Workloads.Prng.int rng 4 = 0;
-    pipelined = Workloads.Prng.int rng 8 = 0;
-    latency =
-      (if Workloads.Prng.int rng 8 = 0 then Some (2 + Workloads.Prng.int rng 3)
-       else None);
-    clock =
-      (match Workloads.Prng.int rng 6 with
-      | 0 -> Some 100.0
-      | 1 -> Some 40.0
-      | _ -> None);
-    style2 = Workloads.Prng.int rng 4 = 0;
-    cse = Workloads.Prng.int rng 3 = 0;
-    widths = Workloads.Prng.int rng 4 = 0;
+    Driver.constr = Flow.constr ~cs ~limits;
+    library = Problem.library_of_flags ~two_cycle ~pipelined;
+    style = (if style2 then Core.Mfsa.No_self_loop else Core.Mfsa.Unrestricted);
+    latency; clock; cse; widths;
     baseline_only = false;
   }
 

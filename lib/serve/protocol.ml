@@ -46,73 +46,37 @@ let graph_source doc =
   | Some _, Some _ -> Error (bad "give either \"graph\" or \"spec\", not both")
   | None, None -> Error (bad "missing \"graph\" (inline source) or \"spec\"")
 
-let parse_limits s =
-  let parts = String.split_on_char ',' s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest -> (
-        match String.index_opt part '=' with
-        | None -> Error (badf "malformed limit %S (want CLASS=N)" part)
-        | Some i -> (
-            let cls = String.trim (String.sub part 0 i) in
-            let n =
-              String.trim (String.sub part (i + 1) (String.length part - i - 1))
-            in
-            match int_of_string_opt n with
-            | Some n when n > 0 && cls <> "" -> go ((cls, n) :: acc) rest
-            | _ -> Error (badf "malformed limit %S (want CLASS=N)" part)))
-  in
-  go [] parts
+module S = Harness.Setting
+
+(* A setting sent as a string or a number, read by its one rule; [None]
+   when the request leaves it out. *)
+let setting t name doc =
+  let text v = Option.value ~default:"" (Jsonl.scalar v) in
+  match Option.map text (Jsonl.member name doc) with
+  | None -> Ok None
+  | Some raw -> (
+      match S.of_string t raw with
+      | Some x -> Ok (Some x)
+      | None -> Error (badf "%S: %S is not %s" name raw (S.expected t raw)))
+
+let setting_or d t name doc =
+  Result.map (Option.value ~default:d) (setting t name doc)
 
 let parse_constr doc =
-  match (Jsonl.int "cs" doc, Jsonl.str "limits" doc) with
+  let* cs = setting S.budget "cs" doc in
+  let* caps = setting S.caps "limits" doc in
+  match (cs, caps) with
   | Some _, Some _ -> Error (bad "give either \"cs\" or \"limits\", not both")
-  | None, Some s -> Result.map (fun l -> Spec.Resource l) (parse_limits s)
-  | Some cs, None when cs >= 0 -> Ok (Spec.Time cs)
-  | Some cs, None -> Error (badf "negative \"cs\" %d" cs)
-  | None, None -> Ok (Spec.Time 0)
+  | None, Some caps -> Ok (Spec.Resource caps)
+  | cs, None -> Ok (Spec.Time (Option.value ~default:0 cs))
 
 let parse_point doc =
-  let* engine =
-    match Jsonl.str "engine" doc with
-    | None -> Ok Spec.Mfsa
-    | Some s -> (
-        match Spec.engine_of_name s with
-        | Some e -> Ok e
-        | None -> Error (badf "unknown engine %S" s))
-  in
-  let* style =
-    match Jsonl.int "style" doc with
-    | None -> Ok Core.Mfsa.Unrestricted
-    | Some 1 -> Ok Core.Mfsa.Unrestricted
-    | Some 2 -> Ok Core.Mfsa.No_self_loop
-    | Some n -> Error (badf "unknown style %d (want 1 or 2)" n)
-  in
-  let* weights =
-    match Jsonl.str "weights" doc with
-    | None -> Ok Core.Mfsa.equal_weights
-    | Some s -> (
-        match Spec.weights_of_name s with
-        | Some w -> Ok w
-        | None -> Error (badf "malformed weights %S (want T/A/M/R)" s))
-  in
+  let* engine = setting_or Spec.Mfsa S.engine "engine" doc in
+  let* style = setting_or Core.Mfsa.Unrestricted S.style "style" doc in
+  let* weights = setting_or Core.Mfsa.equal_weights S.weights "weights" doc in
   let* constr = parse_constr doc in
-  let* library =
-    match Jsonl.str "library" doc with
-    | None -> Ok Spec.Default
-    | Some s -> (
-        match Spec.library_of_name s with
-        | Some l -> Ok l
-        | None -> Error (badf "unknown library %S" s))
-  in
-  let* clock =
-    match Jsonl.member "clock" doc with
-    | None -> Ok None
-    | Some v -> (
-        match Jsonl.to_float v with
-        | Some c when c > 0. -> Ok (Some c)
-        | _ -> Error (bad "\"clock\" must be a positive period in ns"))
-  in
+  let* library = setting_or Spec.Default S.library "library" doc in
+  let* clock = setting S.clock "clock" doc in
   let* cse =
     match Jsonl.member "cse" doc with
     | None -> Ok false
@@ -130,19 +94,8 @@ let parse_point doc =
         | None -> Error (badf "unknown fault %S" s))
   in
   Ok
-    {
-      Explore.Lattice.index = 0;
-      engine;
-      style;
-      weights;
-      constr;
-      library;
-      widths = false;
-      ports = None;
-      clock;
-      cse;
-      fault;
-    }
+    { Explore.Lattice.index = 0; engine; style; weights; constr; library;
+      widths = false; ports = None; clock; cse; fault }
 
 let parse_deltas doc =
   match Jsonl.member "deltas" doc with
@@ -185,14 +138,7 @@ let parse_request_doc doc =
         Ok (Schedule { source; point })
     | Some "lint" ->
         let* source = graph_source doc in
-        let* clock =
-          match Jsonl.member "clock" doc with
-          | None -> Ok None
-          | Some v -> (
-              match Jsonl.to_float v with
-              | Some c when c > 0. -> Ok (Some c)
-              | _ -> Error (bad "\"clock\" must be a positive period in ns"))
-        in
+        let* clock = setting S.clock "clock" doc in
         Ok (Lint { source; clock })
     | Some "explore" -> (
         match Jsonl.str "spec_text" doc with
@@ -211,11 +157,8 @@ let parse_request_doc doc =
           | None -> Error (bad "reschedule needs \"graph\" (edited source)")
         in
         let* deltas = parse_deltas doc in
-        match Jsonl.int "cs" doc with
-        | Some cs when cs >= 0 ->
-            Ok (Reschedule { base; edited; deltas; cs })
-        | Some cs -> Error (badf "negative \"cs\" %d" cs)
-        | None -> Ok (Reschedule { base; edited; deltas; cs = 0 }))
+        let* cs = setting_or 0 S.budget "cs" doc in
+        Ok (Reschedule { base; edited; deltas; cs }))
     | Some op -> Error (badf "unknown op %S" op)
   in
   Ok { req_id; req_deadline; request }
@@ -301,7 +244,6 @@ let parse_response ?max_bytes payload =
 type registration = {
   g_worker : string;
   g_capacity : int;
-  g_heap_mb : int option;
   g_libraries : string list;
 }
 
@@ -318,20 +260,15 @@ type worker_msg =
 
 type cluster_msg = Worker of worker_msg | Control of envelope
 
-let register_msg ~worker ~capacity ?heap_mb ~libraries () =
+let register_msg ~worker ~capacity ~libraries =
   Jsonl.to_string
     (Jsonl.Obj
-       ([
-          ("op", Jsonl.String "register");
-          ("worker", Jsonl.String worker);
-          ("capacity", Jsonl.Int capacity);
-          ( "libraries",
-            Jsonl.List (List.map (fun l -> Jsonl.String l) libraries) );
-        ]
-       @
-       match heap_mb with
-       | None -> []
-       | Some mb -> [ ("heap_mb", Jsonl.Int mb) ]))
+       [
+         ("op", Jsonl.String "register");
+         ("worker", Jsonl.String worker);
+         ("capacity", Jsonl.Int capacity);
+         ("libraries", Jsonl.List (List.map (fun l -> Jsonl.String l) libraries));
+       ])
 
 let heartbeat_msg ~worker ~inflight =
   Jsonl.to_string
@@ -368,7 +305,6 @@ let parse_worker_msg_doc doc op =
         | Some n when n > 0 -> Ok n
         | _ -> Error (bad "register needs a positive \"capacity\"")
       in
-      let g_heap_mb = Jsonl.int "heap_mb" doc in
       let g_libraries =
         match Jsonl.member "libraries" doc with
         | Some (Jsonl.List l) ->
@@ -377,7 +313,7 @@ let parse_worker_msg_doc doc op =
               l
         | _ -> []
       in
-      Ok (Register { g_worker; g_capacity; g_heap_mb; g_libraries })
+      Ok (Register { g_worker; g_capacity; g_libraries })
   | "heartbeat" ->
       let* h_worker = worker () in
       let h_inflight = Option.value ~default:0 (Jsonl.int "inflight" doc) in

@@ -21,8 +21,8 @@
     ([hang] / [segv]) for containment testing. Responses echo the id and
     either [{"status":"ok","cached":BOOL,"payload":…}] or
     [{"status":"error","diag":{…},"retry_after":SECONDS?}] — the [diag]
-    object round-trips a {!Diag.t}, so clients get the same typed codes
-    and exit-code mapping as the CLI. *)
+    object is {!Diag.to_json}'s and round-trips a {!Diag.t} whole, so
+    clients get the same typed codes, spans and exit codes as the CLI. *)
 
 type graph_source =
   | Inline of string  (** DFG source text. *)
@@ -58,7 +58,7 @@ val parse_request : ?max_bytes:int -> string -> (envelope, Diag.t) result
 (** Parse one frame payload. Errors are typed: [batch.frame-too-large]
     over the byte ceiling, [batch.jsonl] for malformed JSON,
     [serve.bad-request] for a well-formed document that is not a valid
-    request. *)
+    request, e.g. a setting out of its {!Harness.Setting} range. *)
 
 val request_op_name : request -> string
 
@@ -91,7 +91,6 @@ val parse_response : ?max_bytes:int -> string -> (response, Diag.t) result
 type registration = {
   g_worker : string;  (** Self-chosen worker name (unique per cluster). *)
   g_capacity : int;  (** Concurrent leases the worker will execute. *)
-  g_heap_mb : int option;  (** Worker-side heap ceiling, advertised. *)
   g_libraries : string list;
       (** Cell-library variants the worker keeps warm. *)
 }
@@ -116,8 +115,7 @@ val parse_cluster_msg : ?max_bytes:int -> string -> (cluster_msg, Diag.t) result
     {!parse_request}. Same typed errors as {!parse_request}. *)
 
 val register_msg :
-  worker:string -> capacity:int -> ?heap_mb:int -> libraries:string list ->
-  unit -> string
+  worker:string -> capacity:int -> libraries:string list -> string
 
 val heartbeat_msg : worker:string -> inflight:int -> string
 

@@ -54,6 +54,12 @@ let jsonl_roundtrip () =
 
 (* --- verdict ------------------------------------------------------------ *)
 
+(* A diagnostic with every field set, as a parse error is reported. *)
+let whole_diag =
+  Diag.make ~severity:Diag.Warning
+    ~span:(Diag.span_of_word ~line:2 ~col:5 "frob")
+    ~file:"bad.dfg" Diag.Input ~code:"parse.unknown-op" "unknown \"frob\""
+
 let verdict_fields_roundtrip () =
   List.iter
     (fun v ->
@@ -61,19 +67,46 @@ let verdict_fields_roundtrip () =
       match Batch.Verdict.of_fields doc with
       | Error e ->
           Alcotest.failf "%s: of_fields failed: %s" (Batch.Verdict.label v) e
-      | Ok v' ->
+      | Ok v' -> (
           Alcotest.(check bool)
             (Batch.Verdict.label v ^ " round-trips")
             true
-            (Batch.Verdict.equal v v'))
+            (Batch.Verdict.equal v v');
+          match (v, v') with
+          | Batch.Verdict.Rejected d, Batch.Verdict.Rejected d' ->
+              Alcotest.(check string) "diagnostic comes back whole"
+                (Diag.to_json d) (Diag.to_json d')
+          | _ -> ()))
     [
       Batch.Verdict.Done "{\"status\":\"clean\"}";
       Batch.Verdict.Rejected (Diag.input ~code:"io.no-such-input" "nope");
+      Batch.Verdict.Rejected whole_diag;
       Batch.Verdict.Timeout;
       Batch.Verdict.Oom;
       Batch.Verdict.Crashed (Batch.Verdict.Signal "SIGSEGV");
       Batch.Verdict.Crashed (Batch.Verdict.Exit 3);
-    ]
+    ];
+  (* Across the pool's worker pipe ... *)
+  (match
+     Batch.Pool.run ~retry:Batch.Retry.none ~deadline:20.0
+       [ Batch.Pool.job ~id:"whole" ~seed:0 ~descr:"whole" (fun () ->
+             Error whole_diag) ]
+   with
+  | Ok { Batch.Pool.records = [ { Batch.Journal.verdict = Batch.Verdict.Rejected d; _ } ]; _ } ->
+      Alcotest.(check string) "whole through a pool completion"
+        (Diag.to_json whole_diag) (Diag.to_json d)
+  | Ok _ -> Alcotest.fail "pool: expected one rejected record"
+  | Error d -> Alcotest.fail (Diag.to_string d));
+  (* ... and a serve error response. *)
+  match
+    Serve.Protocol.parse_response
+      (Serve.Protocol.error_response ~id:"1" whole_diag)
+  with
+  | Ok { Serve.Protocol.r_diag = Some d; _ } ->
+      Alcotest.(check string) "whole through an error response"
+        (Diag.to_json whole_diag) (Diag.to_json d)
+  | Ok _ -> Alcotest.fail "error response without a diag"
+  | Error d -> Alcotest.fail (Diag.to_string d)
 
 (* --- journal ------------------------------------------------------------ *)
 
@@ -490,11 +523,12 @@ let manifest_parsing () =
   (match parse "diffeq --cs 4 --style 2 --limit '*=2' --inject hang # note" with
   | Ok (Some e) ->
       Alcotest.(check string) "spec" "diffeq" e.Batch.Manifest.e_spec;
-      Alcotest.(check int) "cs" 4 e.Batch.Manifest.e_options.Harness.Driver.cs;
+      (* The caps win over the --cs next to them, as Flow.constr rules. *)
+      Alcotest.(check bool) "cs and limit" true
+        (e.Batch.Manifest.e_options.Harness.Driver.constr
+        = Harness.Flow.Resource [ ("*", 2) ]);
       Alcotest.(check bool) "style 2" true
-        e.Batch.Manifest.e_options.Harness.Driver.style2;
-      Alcotest.(check bool) "limit" true
-        (e.Batch.Manifest.e_options.Harness.Driver.limits = [ ("*", 2) ]);
+        (e.Batch.Manifest.e_options.Harness.Driver.style = Core.Mfsa.No_self_loop);
       Alcotest.(check bool) "fault" true
         (e.Batch.Manifest.e_fault = Some Harness.Fault.Hang);
       Alcotest.(check bool) "descr carries the fault" true

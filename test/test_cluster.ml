@@ -214,23 +214,31 @@ let lease_wireless_job_runs_local () =
 
 (* --- Wire round-trips ---------------------------------------------------- *)
 
+(* A wire document as the socket delivers it: serialized, then re-parsed. *)
+let over_socket doc =
+  match Jsonl.parse (Jsonl.to_string doc) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "wire document does not re-parse: %s" e
+
 let wire_manifest_roundtrip () =
-  let entry =
-    match
-      Batch.Manifest.parse_line ~file:"t" ~line:1 "diffeq --cs 4 --inject hang"
-    with
-    | Ok (Some e) -> e
-    | _ -> Alcotest.fail "parse_line"
-  in
-  let job = Batch.Jobs.of_entry ~seed:7 entry in
-  let wire = Wire.of_entry ~seed:7 entry in
-  match Wire.to_job wire with
-  | Error d -> Alcotest.fail (Diag.to_string d)
-  | Ok rebuilt ->
-      Alcotest.(check string) "id stable across the wire" job.Pool.id
-        rebuilt.Pool.id;
-      Alcotest.(check string) "descr stable" job.Pool.descr rebuilt.Pool.descr;
-      Alcotest.(check int) "seed stable" job.Pool.seed rebuilt.Pool.seed
+  List.iter
+    (fun line ->
+      let entry =
+        match Batch.Manifest.parse_line ~file:"t" ~line:1 line with
+        | Ok (Some e) -> e
+        | _ -> Alcotest.fail "parse_line"
+      in
+      let job = Batch.Jobs.of_entry ~seed:7 entry in
+      let wire = over_socket (Wire.of_entry ~seed:7 entry) in
+      match Wire.to_job wire with
+      | Error d -> Alcotest.fail (Diag.to_string d)
+      | Ok rebuilt ->
+          Alcotest.(check string) (line ^ ": id stable across the wire")
+            job.Pool.id rebuilt.Pool.id;
+          Alcotest.(check string) "descr stable" job.Pool.descr
+            rebuilt.Pool.descr;
+          Alcotest.(check int) "seed stable" job.Pool.seed rebuilt.Pool.seed)
+    [ "diffeq --cs 4 --inject hang"; "diffeq --limit '*=2' --limit '+=1'" ]
 
 let wire_explore_roundtrip () =
   let graph =
@@ -238,24 +246,35 @@ let wire_explore_roundtrip () =
     | Some g -> g
     | None -> Alcotest.fail "builtin diffeq"
   in
-  let spec_text = "graph diffeq\ncs 4 6\nweights 1/1/1/20\n" in
-  let spec =
-    match Explore.Spec.parse ~file:"t" spec_text with
-    | Ok s -> s
-    | Error d -> Alcotest.fail (Diag.to_string d)
-  in
-  let points = Explore.Lattice.expand spec in
-  Alcotest.(check bool) "some points" true (points <> []);
   List.iter
-    (fun p ->
-      let job = Explore.Lattice.job ~graph p in
-      let wire = Explore.Lattice.wire ~graph p in
-      match Explore.Lattice.job_of_wire wire with
-      | Error e -> Alcotest.fail e
-      | Ok rebuilt ->
-          Alcotest.(check string) "key digest stable" job.Pool.id
-            rebuilt.Pool.id)
-    points
+    (fun spec_text ->
+      let spec =
+        match Explore.Spec.parse ~file:"t" spec_text with
+        | Ok s -> s
+        | Error d -> Alcotest.fail (Diag.to_string d)
+      in
+      let points = Explore.Lattice.expand spec in
+      Alcotest.(check bool) "some points" true (points <> []);
+      List.iter
+        (fun p ->
+          let job = Explore.Lattice.job ~graph p in
+          let wire = over_socket (Explore.Lattice.wire ~graph p) in
+          (match Option.map Explore.Lattice.point_of_json (Jsonl.member "point" wire) with
+          | Some (Ok p') ->
+              Alcotest.(check bool) (spec_text ^ ": point arrives as sent") true
+                (p' = p)
+          | _ -> Alcotest.fail "wire point does not decode");
+          match Explore.Lattice.job_of_wire wire with
+          | Error e -> Alcotest.fail e
+          | Ok rebuilt ->
+              Alcotest.(check string) "key digest stable" job.Pool.id
+                rebuilt.Pool.id)
+        points)
+    [
+      "graph diffeq\ncs 4 6\nweights 1/1/1/20\n";
+      "graph diffeq\nclock 123.4567891\ncs 4 6\n";
+      "graph diffeq\nweights 1/1/1/0.1234567890123\ncs 4\n";
+    ]
 
 let wire_rejects_garbage () =
   (match Wire.to_job (Jsonl.Obj [ ("family", Jsonl.String "nope") ]) with

@@ -304,7 +304,7 @@ let evaluations_pinned () =
                   else None)
                 points
             in
-            (name ^ "/" ^ Spec.engine_name engine, lines))
+            (name ^ "/" ^ Harness.Setting.(to_string engine) engine, lines))
           [ Spec.Mfsa; Spec.Mfs; Spec.List_sched ])
       (pinned_lattices ())
   in
@@ -321,7 +321,7 @@ let evaluations_pinned () =
       ("diffeq/list", "db17526ade6205533590b888b317d506");
       ("fir4mem/mfsa", "af532d9a2dc47f9a3eee0974b780ef65");
       ("fir4mem/mfs", "55473973a7fe761ae7b3892d3db54a81");
-      ("fir4mem/list", "5ce22031becc6640efb32ccec64da695");
+      ("fir4mem/list", "f55971856bb804053687d6da17e43783");
     ]
   in
   if actual <> expected then

@@ -14,7 +14,10 @@ let driver_clean_on_diffeq () =
 
 let driver_stops_on_infeasible () =
   let g = Workloads.Classic.diffeq () in
-  let options = { Harness.Driver.default_options with Harness.Driver.cs = 1 } in
+  let options =
+    { Harness.Driver.default_options with
+      Harness.Driver.constr = Harness.Flow.Time 1 }
+  in
   let o = Harness.Driver.run ~options g in
   (match o.Harness.Driver.stopped with
   | None -> Alcotest.fail "expected an early stop on cs=1"
@@ -23,13 +26,13 @@ let driver_stops_on_infeasible () =
   Alcotest.(check bool) "no violations" true (o.Harness.Driver.violations = [])
 
 (* Under unit caps the binder runs under the caps the schedule was made
-   with: diffeq with one multiplier needs 7 steps, which a 3-step budget
-   left in [cs] must not veto. *)
+   with: diffeq with one multiplier needs 7 steps, and no step budget can
+   veto that (the typed constraint holds caps or a budget, never both). *)
 let driver_binds_under_limits () =
   let g = Workloads.Classic.diffeq () in
   let options =
     { Harness.Driver.default_options with
-      Harness.Driver.cs = 3; limits = [ ("*", 1) ] }
+      Harness.Driver.constr = Harness.Flow.Resource [ ("*", 1) ] }
   in
   let o = Harness.Driver.run ~options g in
   Alcotest.(check (option string)) "not stopped" None
@@ -43,7 +46,8 @@ let driver_style2_deadlock_under_limits () =
   let g = Workloads.Classic.diffeq () in
   let options =
     { Harness.Driver.default_options with
-      Harness.Driver.style2 = true; limits = [ ("*", 1) ] }
+      Harness.Driver.style = Core.Mfsa.No_self_loop;
+      constr = Harness.Flow.Resource [ ("*", 1) ] }
   in
   let o = Harness.Driver.run ~options g in
   Alcotest.(check (option string)) "stopped by the style-2 deadlock"
@@ -81,18 +85,27 @@ let colbind_fallback_is_valid () =
       | Error d -> Alcotest.failf "%s: %s" name (Diag.to_string d))
     (Workloads.Classic.all ())
 
+(* A typed constraint is a budget or caps, so "--cs 7" is checked on the
+   budget variant of the same options. *)
 let options_flags_roundtrip () =
   let o =
-    { Harness.Driver.cs = 7; limits = [ ("*", 2) ]; two_cycle = true;
-      pipelined = false; latency = Some 3; clock = Some 40.0; style2 = true;
-      cse = true; widths = true; baseline_only = true }
+    { Harness.Driver.constr = Harness.Flow.Resource [ ("*", 2) ];
+      library = Harness.Problem.Two_cycle; latency = Some 3;
+      clock = Some 40.0; style = Core.Mfsa.No_self_loop; cse = true;
+      widths = true; baseline_only = true }
   in
   let flags = Harness.Driver.options_to_flags o in
+  let budget_flags =
+    Harness.Driver.options_to_flags
+      { o with Harness.Driver.constr = Harness.Flow.Time 7 }
+  in
   List.iter
-    (fun sub ->
+    (fun (sub, flags) ->
       Alcotest.(check bool) ("flag " ^ sub) true (Helpers.contains ~sub flags))
-    [ "--cs 7"; "--limit '*=2'"; "--two-cycle-mult"; "--latency 3";
-      "--clock 40"; "--style 2"; "--cse"; "--widths"; "--baseline-only" ]
+    [ ("--cs 7", budget_flags); ("--limit '*=2'", flags);
+      ("--two-cycle-mult", flags); ("--latency 3", flags);
+      ("--clock 40", flags); ("--style 2", flags); ("--cse", flags);
+      ("--widths", flags); ("--baseline-only", flags) ]
 
 let campaign_clean () =
   (* A bounded campaign without injection: no crashes, no invariant

@@ -457,8 +457,43 @@ let explore_ports_axis () =
        (fun p -> Helpers.contains ~sub:"ports=" (Explore.Lattice.descr p))
        points)
 
+(* --- List scheduling under bank ports ------------------------------------ *)
+
+(* fir4mem's banks take eight accesses each: with one or two ports the
+   list scheduler must either reject the budget as infeasible or keep
+   every bank within its ports, in both regimes. The bank audit of
+   Analysis.Runner.post_schedule is the judge. *)
+let list_respects_ports () =
+  let g =
+    Helpers.check_ok "fir4mem"
+      (Dfg.Parser.parse_file (Helpers.example_file "fir4mem.dfg"))
+  in
+  List.iter
+    (fun ports ->
+      let p = Harness.Problem.make ~ports g in
+      List.iter
+        (fun (regime, constr) ->
+          let what = Printf.sprintf "ports %d, %s" ports regime in
+          match Harness.Flow.schedule p Harness.Flow.List_sched constr with
+          | Error d ->
+              Alcotest.(check string) (what ^ ": rejection category")
+                "infeasible" (Diag.category_name d.Diag.category)
+          | Ok (s, _) ->
+              Alcotest.(check (list string)) (what ^ ": bank conflicts") []
+                (List.filter
+                   (String.equal "mem.bank-conflict")
+                   (codes (Analysis.Runner.post_schedule s))))
+        [
+          ("critical path", Harness.Flow.Time 0);
+          ("budget 12", Harness.Flow.Time 12);
+          ("caps", Harness.Flow.Resource [ ("*", 2); ("+", 1) ]);
+          ("bank cap above the ports", Harness.Flow.Resource [ ("mem:XB", 4) ]);
+        ])
+    [ 1; 2 ]
+
 let suite =
   [
+    test "list: bank ports are hard caps in both regimes" list_respects_ports;
     test "parser: array/mem directives round-trip" parser_roundtrip;
     test "parser: bank defaults to array name" default_bank_is_array_name;
     test "edges: RAW/WAW/WAR per array" address_edges;
